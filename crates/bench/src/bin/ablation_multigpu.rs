@@ -1,15 +1,17 @@
 //! **Extension: multi-GPU symbolic scaling.** The paper's related work
 //! (GSOFA) distributes symbolic factorization across up to 264 GPUs; this
-//! experiment scales our out-of-core engine across 1–8 simulated devices
-//! and compares the blocked vs strided row partitions under the Figure 3
-//! work skew.
+//! experiment scales our out-of-core engine across a fleet of 1–8
+//! simulated devices (`symbolic_fleet`, the makespan includes the fill-count
+//! all-gather) and compares the blocked vs strided row partitions under
+//! the Figure 3 work skew. Efficiency is each device's busy time before
+//! the gather over the slowest device's.
 //!
 //! Usage: `ablation_multigpu [--scale N]`
 
 use gplu_bench::{fill_size_of, Args, Prepared, Table};
-use gplu_sim::Gpu;
+use gplu_sim::DeviceFleet;
 use gplu_sparse::gen::suite::{frontier_pair, DEFAULT_SCALE};
-use gplu_symbolic::{symbolic_multi_gpu, Partition};
+use gplu_symbolic::{symbolic_fleet, Partition};
 
 fn main() {
     let args = Args::parse();
@@ -30,13 +32,9 @@ fn main() {
                 if k == 1 && partition == Partition::Strided {
                     continue; // identical to blocked at k = 1
                 }
-                let fleet: Vec<Gpu> = (0..k)
-                    .map(|_| {
-                        let (p, f) = (&prep, fill);
-                        p.gpu_symbolic(f)
-                    })
-                    .collect();
-                let out = symbolic_multi_gpu(&fleet, &pre, partition).expect("multi-gpu ok");
+                let fleet =
+                    DeviceFleet::from_devices((0..k).map(|_| prep.gpu_symbolic(fill)).collect());
+                let out = symbolic_fleet(&fleet, &pre, partition).expect("fleet symbolic ok");
                 let base_ns = *base.get_or_insert(out.time.as_ns());
                 t.row([
                     k.to_string(),

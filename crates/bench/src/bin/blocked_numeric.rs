@@ -30,11 +30,11 @@
 use gplu_bench::{geomean, Table};
 use gplu_numeric::outcome::column_cost_estimate_cached;
 use gplu_numeric::{
-    factorize_gpu_blocked_run_cached, factorize_gpu_merge_run_cached, BlockPlan, NumericOutcome,
-    PivotCache, PivotRule, DEFAULT_BLOCK_THRESHOLD,
+    run_levels, BlockPlan, BlockedEngine, MergeEngine, NumericOutcome, PivotCache, PivotRule,
+    DEFAULT_BLOCK_THRESHOLD,
 };
 use gplu_schedule::{levelize_cpu, DepGraph, Levels};
-use gplu_sim::{CostModel, Gpu, GpuConfig};
+use gplu_sim::{CostModel, Devices, Gpu, GpuConfig};
 use gplu_sparse::gen::{circuit, mesh, planar, random};
 use gplu_sparse::{Csc, Csr};
 use gplu_symbolic::symbolic_cpu;
@@ -171,8 +171,9 @@ fn main() {
         let (blas3_bytes, streaming_bytes) = byte_split(&pattern, &cache, &plan, &cost);
 
         let mg = measure(reps, |gpu| {
-            factorize_gpu_merge_run_cached(
-                gpu,
+            run_levels(
+                &mut MergeEngine::new(),
+                Devices::One(gpu),
                 &pattern,
                 &levels,
                 &NOOP,
@@ -184,11 +185,11 @@ fn main() {
             .expect("merge ok")
         });
         let bk = measure(reps, |gpu| {
-            factorize_gpu_blocked_run_cached(
-                gpu,
+            run_levels(
+                &mut BlockedEngine::new(&plan),
+                Devices::One(gpu),
                 &pattern,
                 &levels,
-                &plan,
                 &NOOP,
                 None,
                 None,

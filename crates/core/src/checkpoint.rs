@@ -151,7 +151,8 @@ impl PhaseMark {
     }
 }
 
-fn corrupt(msg: impl Into<String>) -> GpluError {
+/// A typed corrupt-snapshot error (shared by every section decoder).
+pub(crate) fn corrupt(msg: impl Into<String>) -> GpluError {
     GpluError::CheckpointCorrupt(msg.into())
 }
 
@@ -166,9 +167,10 @@ pub(crate) fn engine_tag(e: SymbolicEngine) -> u8 {
     }
 }
 
-/// Stable tag identifying the numeric format that produced a partial
-/// snapshot. Ladder rungs are always concrete by the time a snapshot is
-/// cut, so [`NumericFormat::Auto`] never appears on disk.
+/// Stable on-disk tag of a numeric format: the format that produced a
+/// partial snapshot (ladder rungs are always concrete by the time one is
+/// cut, so [`NumericFormat::Auto`] never appears there), or a
+/// refactorization plan's format (where `Auto` is valid).
 pub(crate) fn format_tag(f: NumericFormat) -> u8 {
     match f {
         NumericFormat::Dense => 0,
@@ -225,8 +227,8 @@ fn encode_meta(mark: PhaseMark, clock_ns: f64) -> Vec<u8> {
 
 fn decode_meta(b: &[u8]) -> Result<(PhaseMark, f64), GpluError> {
     let mut d = Dec::new(b);
-    let mark = PhaseMark::from_u8(d.u8("meta.mark").map_err(corrupt_ck)?)?;
-    let clock_ns = d.f64("meta.clock_ns").map_err(corrupt_ck)?;
+    let mark = PhaseMark::from_u8(d.u8("meta.mark")?)?;
+    let clock_ns = d.f64("meta.clock_ns")?;
     expect_drained(&d, "META")?;
     Ok((mark, clock_ns))
 }
@@ -248,10 +250,10 @@ struct Fingerprint {
 
 fn decode_fingerprint(b: &[u8]) -> Result<Fingerprint, GpluError> {
     let mut d = Dec::new(b);
-    let matrix_fp = d.u64("fp.matrix").map_err(corrupt_ck)?;
-    let _opts_fp = d.u64("fp.opts").map_err(corrupt_ck)?;
-    let n = d.u64("fp.n").map_err(corrupt_ck)?;
-    let nnz = d.u64("fp.nnz").map_err(corrupt_ck)?;
+    let matrix_fp = d.u64("fp.matrix")?;
+    let _opts_fp = d.u64("fp.opts")?;
+    let n = d.u64("fp.n")?;
+    let nnz = d.u64("fp.nnz")?;
     expect_drained(&d, "FINGERPRINT")?;
     Ok(Fingerprint { matrix_fp, n, nnz })
 }
@@ -284,11 +286,11 @@ fn encode_preprocess(p: &PreState) -> Vec<u8> {
 
 fn decode_preprocess(b: &[u8]) -> Result<PreState, GpluError> {
     let mut d = Dec::new(b);
-    let matrix = decode_csr(&mut d).map_err(corrupt_ck)?;
-    let p_row = decode_perm(&mut d).map_err(corrupt_ck)?;
-    let p_col = decode_perm(&mut d).map_err(corrupt_ck)?;
-    let repaired = d.u64("pre.repaired").map_err(corrupt_ck)? as usize;
-    let time_ns = d.f64("pre.time_ns").map_err(corrupt_ck)?;
+    let matrix = decode_csr(&mut d)?;
+    let p_row = decode_perm(&mut d)?;
+    let p_col = decode_perm(&mut d)?;
+    let repaired = d.u64("pre.repaired")? as usize;
+    let time_ns = d.f64("pre.time_ns")?;
     expect_drained(&d, "PREPROCESS")?;
     Ok(PreState {
         matrix,
@@ -328,28 +330,28 @@ fn encode_symbolic_partial(engine: u8, r: &SymbolicResume) -> Vec<u8> {
 
 fn decode_symbolic_partial(b: &[u8]) -> Result<(u8, SymbolicResume), GpluError> {
     let mut d = Dec::new(b);
-    let engine = d.u8("sym.engine").map_err(corrupt_ck)?;
-    let rows_done = d.u64("sym.rows_done").map_err(corrupt_ck)? as usize;
-    let iters_done = d.u64("sym.iters_done").map_err(corrupt_ck)? as usize;
-    let chunk = d.u64("sym.chunk").map_err(corrupt_ck)? as usize;
-    let oom_backoffs = d.u64("sym.oom_backoffs").map_err(corrupt_ck)? as usize;
-    let fill_counts = d.vec_u32("sym.fill_counts").map_err(corrupt_ck)?;
-    let frontiers = d.vec_u64("sym.frontiers").map_err(corrupt_ck)?;
-    let agg_steps = d.u64("sym.agg_steps").map_err(corrupt_ck)?;
-    let agg_edges = d.u64("sym.agg_edges").map_err(corrupt_ck)?;
-    let agg_frontiers = d.u64("sym.agg_frontiers").map_err(corrupt_ck)?;
-    let per_iter_max_frontier = d.vec_u64("sym.per_iter_max_frontier").map_err(corrupt_ck)?;
-    let split = match d.u8("sym.has_split").map_err(corrupt_ck)? {
+    let engine = d.u8("sym.engine")?;
+    let rows_done = d.u64("sym.rows_done")? as usize;
+    let iters_done = d.u64("sym.iters_done")? as usize;
+    let chunk = d.u64("sym.chunk")? as usize;
+    let oom_backoffs = d.u64("sym.oom_backoffs")? as usize;
+    let fill_counts = d.vec_u32("sym.fill_counts")?;
+    let frontiers = d.vec_u64("sym.frontiers")?;
+    let agg_steps = d.u64("sym.agg_steps")?;
+    let agg_edges = d.u64("sym.agg_edges")?;
+    let agg_frontiers = d.u64("sym.agg_frontiers")?;
+    let per_iter_max_frontier = d.vec_u64("sym.per_iter_max_frontier")?;
+    let split = match d.u8("sym.has_split")? {
         0 => None,
         1 => Some(DynamicSplit {
-            n1: d.u64("sym.split.n1").map_err(corrupt_ck)? as usize,
-            frontier_cap: d.u64("sym.split.frontier_cap").map_err(corrupt_ck)?,
-            chunk1: d.u64("sym.split.chunk1").map_err(corrupt_ck)? as usize,
-            chunk2: d.u64("sym.split.chunk2").map_err(corrupt_ck)? as usize,
+            n1: d.u64("sym.split.n1")? as usize,
+            frontier_cap: d.u64("sym.split.frontier_cap")?,
+            chunk1: d.u64("sym.split.chunk1")? as usize,
+            chunk2: d.u64("sym.split.chunk2")? as usize,
         }),
         other => return Err(corrupt(format!("bad split flag {other}"))),
     };
-    let overflow_rows = d.vec_u32("sym.overflow_rows").map_err(corrupt_ck)?;
+    let overflow_rows = d.vec_u32("sym.overflow_rows")?;
     expect_drained(&d, "SYMBOLIC_PARTIAL")?;
     Ok((
         engine,
@@ -396,13 +398,13 @@ fn encode_symbolic_done(result: &SymbolicResult, chunk_size: usize, iterations: 
 
 fn decode_symbolic_done(b: &[u8]) -> Result<SymbolicDone, GpluError> {
     let mut d = Dec::new(b);
-    let filled = decode_csr(&mut d).map_err(corrupt_ck)?;
-    let fill_count = d.vec_u32("symdone.fill_count").map_err(corrupt_ck)?;
-    let steps = d.u64("symdone.steps").map_err(corrupt_ck)?;
-    let edges = d.u64("symdone.edges").map_err(corrupt_ck)?;
-    let frontiers = d.u64("symdone.frontiers").map_err(corrupt_ck)?;
-    let chunk_size = d.u64("symdone.chunk_size").map_err(corrupt_ck)? as usize;
-    let iterations = d.u64("symdone.iterations").map_err(corrupt_ck)? as usize;
+    let filled = decode_csr(&mut d)?;
+    let fill_count = d.vec_u32("symdone.fill_count")?;
+    let steps = d.u64("symdone.steps")?;
+    let edges = d.u64("symdone.edges")?;
+    let frontiers = d.u64("symdone.frontiers")?;
+    let chunk_size = d.u64("symdone.chunk_size")? as usize;
+    let iterations = d.u64("symdone.iterations")? as usize;
     expect_drained(&d, "SYMBOLIC")?;
     if fill_count.len() != filled.n_rows() {
         return Err(corrupt(format!(
@@ -434,7 +436,7 @@ fn encode_levels(level_of: &[u32]) -> Vec<u8> {
 
 fn decode_levels(b: &[u8]) -> Result<Vec<u32>, GpluError> {
     let mut d = Dec::new(b);
-    let level_of = d.vec_u32("levels.level_of").map_err(corrupt_ck)?;
+    let level_of = d.vec_u32("levels.level_of")?;
     expect_drained(&d, "LEVELS")?;
     Ok(level_of)
 }
@@ -456,16 +458,16 @@ fn encode_numeric(format: u8, r: &NumericResume) -> Vec<u8> {
 
 fn decode_numeric(b: &[u8]) -> Result<(u8, NumericResume), GpluError> {
     let mut d = Dec::new(b);
-    let format = d.u8("num.format").map_err(corrupt_ck)?;
-    let start_level = d.u64("num.start_level").map_err(corrupt_ck)? as usize;
-    let vals = d.vec_f64("num.vals").map_err(corrupt_ck)?;
-    let a = d.u64("num.mix_a").map_err(corrupt_ck)? as usize;
-    let b_ = d.u64("num.mix_b").map_err(corrupt_ck)? as usize;
-    let c = d.u64("num.mix_c").map_err(corrupt_ck)? as usize;
-    let probes = d.u64("num.probes").map_err(corrupt_ck)?;
-    let merge_steps = d.u64("num.merge_steps").map_err(corrupt_ck)?;
-    let batches = d.u64("num.batches").map_err(corrupt_ck)?;
-    let gemm_tiles = d.u64("num.gemm_tiles").map_err(corrupt_ck)?;
+    let format = d.u8("num.format")?;
+    let start_level = d.u64("num.start_level")? as usize;
+    let vals = d.vec_f64("num.vals")?;
+    let a = d.u64("num.mix_a")? as usize;
+    let b_ = d.u64("num.mix_b")? as usize;
+    let c = d.u64("num.mix_c")? as usize;
+    let probes = d.u64("num.probes")?;
+    let merge_steps = d.u64("num.merge_steps")?;
+    let batches = d.u64("num.batches")?;
+    let gemm_tiles = d.u64("num.gemm_tiles")?;
     expect_drained(&d, "NUMERIC")?;
     Ok((
         format,
@@ -575,51 +577,51 @@ fn encode_recovery(log: &RecoveryLog) -> Vec<u8> {
 
 fn decode_recovery(b: &[u8]) -> Result<RecoveryLog, GpluError> {
     let mut d = Dec::new(b);
-    let count = d.u32("rec.count").map_err(corrupt_ck)?;
+    let count = d.u32("rec.count")?;
     let mut log = RecoveryLog::default();
     for _ in 0..count {
-        let phase = phase_from_tag(d.u8("rec.phase").map_err(corrupt_ck)?)?;
-        let action = match d.u8("rec.action").map_err(corrupt_ck)? {
+        let phase = phase_from_tag(d.u8("rec.phase")?)?;
+        let action = match d.u8("rec.action")? {
             0 => RecoveryAction::ChunkBackoff {
-                backoffs: d.u64("rec.backoffs").map_err(corrupt_ck)? as usize,
-                final_chunk: d.u64("rec.final_chunk").map_err(corrupt_ck)? as usize,
+                backoffs: d.u64("rec.backoffs")? as usize,
+                final_chunk: d.u64("rec.final_chunk")? as usize,
             },
             1 => RecoveryAction::StreamedOutput,
             2 => RecoveryAction::EngineDegraded {
-                from: d.str("rec.from").map_err(corrupt_ck)?,
-                to: d.str("rec.to").map_err(corrupt_ck)?,
+                from: d.str("rec.from")?,
+                to: d.str("rec.to")?,
             },
             3 => RecoveryAction::FormatDegraded {
-                from: d.str("rec.from").map_err(corrupt_ck)?,
-                to: d.str("rec.to").map_err(corrupt_ck)?,
+                from: d.str("rec.from")?,
+                to: d.str("rec.to")?,
             },
             4 => RecoveryAction::PivotRepaired {
-                col: d.u64("rec.col").map_err(corrupt_ck)? as usize,
-                value: d.f64("rec.value").map_err(corrupt_ck)?,
-                magnitude: d.f64("rec.magnitude").map_err(corrupt_ck)?,
+                col: d.u64("rec.col")? as usize,
+                value: d.f64("rec.value")?,
+                magnitude: d.f64("rec.magnitude")?,
             },
             5 => RecoveryAction::PivotEscalated {
-                from: d.str("rec.from").map_err(corrupt_ck)?,
-                to: d.str("rec.to").map_err(corrupt_ck)?,
+                from: d.str("rec.from")?,
+                to: d.str("rec.to")?,
             },
             6 => RecoveryAction::PivotPerturbed {
-                cols: d.u64("rec.cols").map_err(corrupt_ck)? as usize,
-                max_delta: d.f64("rec.max_delta").map_err(corrupt_ck)?,
+                cols: d.u64("rec.cols")? as usize,
+                max_delta: d.f64("rec.max_delta")?,
             },
             7 => RecoveryAction::PatternExpanded {
-                added: d.u64("rec.added").map_err(corrupt_ck)? as usize,
-                rounds: d.u64("rec.rounds").map_err(corrupt_ck)? as usize,
+                added: d.u64("rec.added")? as usize,
+                rounds: d.u64("rec.rounds")? as usize,
             },
             8 => RecoveryAction::Resymbolic {
-                abandoned: d.u64("rec.abandoned").map_err(corrupt_ck)? as usize,
+                abandoned: d.u64("rec.abandoned")? as usize,
             },
             9 => RecoveryAction::DiskEntryRejected {
-                key: d.u64("rec.key").map_err(corrupt_ck)?,
-                reason: d.str("rec.reason").map_err(corrupt_ck)?,
+                key: d.u64("rec.key")?,
+                reason: d.str("rec.reason")?,
             },
             10 => RecoveryAction::DeviceLost {
-                device: d.u64("rec.device").map_err(corrupt_ck)? as usize,
-                resharded: d.u64("rec.resharded").map_err(corrupt_ck)? as usize,
+                device: d.u64("rec.device")? as usize,
+                resharded: d.u64("rec.resharded")? as usize,
             },
             other => return Err(corrupt(format!("unknown recovery action tag {other}"))),
         };
@@ -629,7 +631,8 @@ fn decode_recovery(b: &[u8]) -> Result<RecoveryLog, GpluError> {
     Ok(log)
 }
 
-fn expect_drained(d: &Dec<'_>, what: &str) -> Result<(), GpluError> {
+/// Rejects a decoded section with trailing bytes.
+pub(crate) fn expect_drained(d: &Dec<'_>, what: &str) -> Result<(), GpluError> {
     if d.remaining() != 0 {
         return Err(corrupt(format!(
             "{what} section has {} trailing byte(s)",
@@ -637,10 +640,6 @@ fn expect_drained(d: &Dec<'_>, what: &str) -> Result<(), GpluError> {
         )));
     }
     Ok(())
-}
-
-fn corrupt_ck(e: gplu_checkpoint::CheckpointError) -> GpluError {
-    GpluError::from(e)
 }
 
 // ---------------------------------------------------------------------

@@ -7,20 +7,28 @@
 //! retried once. Every corrective step lands in
 //! [`PhaseReport::recovery`], and every terminal failure is a structured
 //! [`GpluError`] — the pipeline never panics on a well-formed input.
+//!
+//! The pipeline is written once, with device placement as a parameter
+//! ([`gplu_sim::Devices`]): `compute` and `compute_fleet` share one
+//! escalation ladder and one pass (preprocess → symbolic → pivot
+//! discovery → levelize → numeric stage → residual gate), and the warm
+//! refactorization path reuses its numeric stage and gate. Only the
+//! symbolic stage looks at the placement's variant.
 
 use crate::checkpoint::{self, CheckpointOptions, CheckpointSession, PhaseMark, PreState};
 use crate::error::GpluError;
+use crate::fleet::FleetLedger;
 use crate::preprocess::{preprocess, PreprocessOptions, PreprocessOutcome};
-use crate::recovery::{Phase, RecoveryAction, RecoveryLog};
+use crate::recovery::{Phase, RecoveryAction};
 use crate::report::PhaseReport;
 use gplu_numeric::{
-    discover_pivots, factorize_gpu_blocked_run_cached, factorize_gpu_dense_run_cached,
-    factorize_gpu_merge_run_cached, factorize_gpu_sparse_run_cached, BlockPlan, LevelHook,
-    LevelProgress, NumericError, NumericResume, PivotCache, PivotPolicy, PivotRule,
-    DEFAULT_BLOCK_THRESHOLD, DEFAULT_PIVOT_TAU,
+    discover_pivots, run_levels, BlockPlan, BlockedEngine, DenseEngine, LevelHook, LevelProgress,
+    MergeEngine, NumericEngine, NumericError, NumericOutcome, NumericResume, PivotCache,
+    PivotDiscovery, PivotPolicy, PivotRule, SparseEngine, DEFAULT_BLOCK_THRESHOLD,
+    DEFAULT_PIVOT_TAU,
 };
 use gplu_schedule::{levelize_gpu_traced, DepGraph, Levels};
-use gplu_sim::{Gpu, SimError, SimTime};
+use gplu_sim::{Devices, Gpu, SimError, SimTime};
 use gplu_sparse::convert::csr_to_csc;
 use gplu_sparse::ordering::OrderingKind;
 use gplu_sparse::perm::permute_csr;
@@ -28,8 +36,8 @@ use gplu_sparse::triangular::solve_lu;
 use gplu_sparse::verify::residual_probe;
 use gplu_sparse::{Csc, Csr, Permutation, SparseError, Val};
 use gplu_symbolic::{
-    expand_fill, symbolic_ooc_dynamic_run, symbolic_ooc_run, symbolic_um_traced, ChunkHook,
-    ChunkProgress, SymbolicResult, SymbolicResume, UmMode,
+    expand_fill, symbolic_fleet, symbolic_ooc_dynamic_run, symbolic_ooc_run, symbolic_um_traced,
+    ChunkHook, ChunkProgress, Partition, SymbolicResult, SymbolicResume, UmMode,
 };
 use gplu_trace::{AttrValue, TraceSink, NOOP};
 use std::cell::RefCell;
@@ -261,54 +269,130 @@ pub(crate) fn detect_block_plan(
     plan
 }
 
-/// Emits a `recovery` instant alongside a [`RecoveryLog::record`] call.
-/// The owned attribute strings are only built when the sink is live.
-pub(crate) fn trace_recovery(
-    trace: &dyn TraceSink,
-    ts_ns: f64,
-    phase: Phase,
-    action: &RecoveryAction,
-) {
-    if trace.enabled() {
-        trace.instant(
-            "recovery",
-            "recovery",
-            ts_ns,
-            &[
-                ("phase", AttrValue::Str(phase.to_string())),
-                ("action", AttrValue::Str(action.to_string())),
-            ],
-        );
+/// One pipeline pass's running state, threaded through the stage
+/// functions: where it runs, where its telemetry goes, the report
+/// (recovery log included) it fills, and — on a fleet — the ledger its
+/// [`crate::FleetReport`] comes from.
+pub(crate) struct Pass<'a> {
+    devices: Devices<'a>,
+    trace: &'a dyn TraceSink,
+    pub(crate) report: PhaseReport,
+    ledger: Option<FleetLedger<'a>>,
+}
+
+impl<'a> Pass<'a> {
+    pub(crate) fn new(devices: Devices<'a>, trace: &'a dyn TraceSink) -> Self {
+        Pass {
+            devices,
+            trace,
+            report: PhaseReport::default(),
+            ledger: FleetLedger::open(devices),
+        }
     }
+
+    /// Logs every device lost since the last call as a
+    /// [`RecoveryAction::DeviceLost`] of `phase` (a no-op on one device).
+    fn note_losses(&mut self, phase: Phase) {
+        let lost = self.ledger.as_mut().map(|l| l.losses(phase));
+        for (device, resharded) in lost.into_iter().flatten() {
+            self.record(phase, RecoveryAction::DeviceLost { device, resharded });
+        }
+    }
+
+    /// The finished report, with the fleet section on a fleet.
+    pub(crate) fn into_report(mut self) -> PhaseReport {
+        self.report.fleet = self.ledger.map(FleetLedger::report);
+        self.report
+    }
+
+    /// Logs a corrective action and emits its `recovery` instant (the
+    /// owned attribute strings are only built when the sink is live).
+    pub(crate) fn record(&mut self, phase: Phase, action: RecoveryAction) {
+        if self.trace.enabled() {
+            self.trace.instant(
+                "recovery",
+                "recovery",
+                self.devices.now().as_ns(),
+                &[
+                    ("phase", AttrValue::Str(phase.to_string())),
+                    ("action", AttrValue::Str(action.to_string())),
+                ],
+            );
+        }
+        self.report.recovery.record(phase, action);
+    }
+}
+
+/// Checkpoint plumbing of a durable pass (single-device only).
+struct Durable<'s> {
+    sess: &'s mut CheckpointSession,
+    /// Checkpoint I/O failures inside engine hooks land here (see
+    /// [`hooked_cut`]); the ladders rethrow them instead of degrading.
+    failed: RefCell<Option<GpluError>>,
+}
+
+/// What the numeric stage needs from a durable pass: its checkpoint
+/// plumbing, the partial state to replay on the rung that cut it, and
+/// the permutations re-cut alongside the matrix after a late repair.
+pub(crate) struct DurableNumeric<'d, 's> {
+    durable: &'d mut Durable<'s>,
+    partial: Option<(u8, NumericResume)>,
+    p_row: &'d Permutation,
+    p_col: &'d Permutation,
+}
+
+/// What the numeric stage factorizes with.
+pub(crate) struct NumericSpec<'a> {
+    /// Requested format (the first rung of the format ladder).
+    pub(crate) format: NumericFormat,
+    /// Supernode similarity threshold for a cold blocking pass.
+    pub(crate) block_threshold: f64,
+    /// Pivoting policy of this pass.
+    pub(crate) policy: PivotPolicy,
+    /// Late singular-pivot repair value, when repair is enabled.
+    pub(crate) repair: Option<f64>,
+    /// A refactorization plan's captured pivot cache and blocking plan.
+    /// A warm pass replays them — tail-launching the captured schedule —
+    /// and runs `Auto` as the merge engine instead of re-deciding the
+    /// format.
+    pub(crate) warm: Option<(&'a PivotCache, Option<&'a BlockPlan>)>,
 }
 
 /// Runs one symbolic engine, filling the report and recording any
 /// in-engine recovery (chunk backoff, fault-forced streaming). The
 /// out-of-core engines take the optional chunk-watermark resume state
 /// and per-chunk checkpoint hook; unified memory runs are a single
-/// indivisible pass with no durability points.
-#[allow(clippy::too_many_arguments)]
+/// indivisible pass with no durability points. A fleet always runs the
+/// row-sharded out-of-core engine, whatever `engine` asks for.
 fn run_symbolic(
-    gpu: &Gpu,
+    pass: &mut Pass<'_>,
     matrix: &Csr,
     engine: SymbolicEngine,
-    report: &mut PhaseReport,
-    recovery: &mut RecoveryLog,
-    trace: &dyn TraceSink,
     resume: Option<&SymbolicResume>,
     hook: Option<&mut ChunkHook<'_>>,
 ) -> Result<SymbolicResult, SimError> {
+    let gpu = match pass.devices {
+        Devices::One(gpu) => gpu,
+        Devices::Fleet(fleet) => {
+            let out = symbolic_fleet(fleet, matrix, Partition::Blocked)?;
+            pass.report.symbolic = out.time;
+            pass.report.symbolic_iterations = 1;
+            pass.note_losses(Phase::Symbolic);
+            return Ok(out.result);
+        }
+    };
+    let report = &mut pass.report;
     let faults_before = gpu.stats().injected_faults();
     let (result, backoffs, streamed) = match engine {
         SymbolicEngine::Ooc => {
-            let out = symbolic_ooc_run(gpu, matrix, trace, resume, hook)?;
+            let out = symbolic_ooc_run(gpu, matrix, pass.trace, resume, hook)?;
             report.symbolic = out.time;
             report.chunk_size = out.chunk_size;
             report.symbolic_iterations = out.num_iterations;
             (out.result, out.oom_backoffs, out.streamed_output)
         }
         SymbolicEngine::OocDynamic => {
-            let out = symbolic_ooc_dynamic_run(gpu, matrix, trace, resume, hook)?;
+            let out = symbolic_ooc_dynamic_run(gpu, matrix, pass.trace, resume, hook)?;
             report.symbolic = out.time;
             report.chunk_size = out.split.chunk2;
             report.symbolic_iterations = out.num_iterations;
@@ -321,27 +405,560 @@ fn run_symbolic(
             } else {
                 UmMode::NoPrefetch
             };
-            let out = symbolic_um_traced(gpu, matrix, mode, trace)?;
+            let out = symbolic_um_traced(gpu, matrix, mode, pass.trace)?;
             report.symbolic = out.time;
             (out.result, 0, false)
         }
     };
     if backoffs > 0 {
-        let action = RecoveryAction::ChunkBackoff {
-            backoffs,
-            final_chunk: report.chunk_size,
-        };
-        trace_recovery(trace, gpu.now().as_ns(), Phase::Symbolic, &action);
-        recovery.record(Phase::Symbolic, action);
+        let final_chunk = pass.report.chunk_size;
+        pass.record(
+            Phase::Symbolic,
+            RecoveryAction::ChunkBackoff {
+                backoffs,
+                final_chunk,
+            },
+        );
     }
     // Streaming is the designed out-of-core response to a genuinely small
     // device; it only counts as *recovery* when injected faults forced it.
     if streamed && gpu.stats().injected_faults() > faults_before {
-        let action = RecoveryAction::StreamedOutput;
-        trace_recovery(trace, gpu.now().as_ns(), Phase::Symbolic, &action);
-        recovery.record(Phase::Symbolic, action);
+        pass.record(Phase::Symbolic, RecoveryAction::StreamedOutput);
     }
     Ok(result)
+}
+
+/// The symbolic stage. One device climbs the engine ladder — the
+/// out-of-core engines already back off their chunk sizes under OOM; if
+/// one still fails, fall back to unified memory, whose on-demand paging
+/// cannot run out of device capacity. A fleet runs its one row-sharded
+/// engine, whose device deaths reshard inside the engine. A partial
+/// snapshot replays the chunk watermark on the engine that cut it.
+fn symbolic_stage(
+    pass: &mut Pass<'_>,
+    matrix: &Csr,
+    requested: SymbolicEngine,
+    partial: Option<&(u8, SymbolicResume)>,
+    mut durable: Option<&mut Durable<'_>>,
+) -> Result<SymbolicResult, GpluError> {
+    let (devices, trace) = (pass.devices, pass.trace);
+    let ladder: &[SymbolicEngine] = match requested {
+        // One rung: `run_symbolic` shards the out-of-core engine itself.
+        _ if devices.is_fleet() => &[requested],
+        SymbolicEngine::Ooc => &[SymbolicEngine::Ooc, SymbolicEngine::UmPrefetch],
+        SymbolicEngine::OocDynamic => &[SymbolicEngine::OocDynamic, SymbolicEngine::UmPrefetch],
+        SymbolicEngine::UmNoPrefetch => &[SymbolicEngine::UmNoPrefetch],
+        SymbolicEngine::UmPrefetch => &[SymbolicEngine::UmPrefetch],
+    };
+    let name = |e: SymbolicEngine| {
+        if devices.is_fleet() {
+            "FleetOoc"
+        } else {
+            engine_name(e)
+        }
+    };
+    let lead = devices.lead();
+    let sym_before = lead.stats();
+    let n_dev = usize::from(devices.is_fleet());
+    trace.span_begin(
+        "phase.symbolic",
+        "phase",
+        devices.now().as_ns(),
+        &[
+            ("engine", name(requested).into()),
+            ("devices", devices.n_alive().into()),
+        ][..1 + n_dev],
+    );
+    let mut symbolic: Option<SymbolicResult> = None;
+    let mut last_err: Option<SimError> = None;
+    let mut attempts = 0usize;
+    let mut used_engine = requested;
+    for (i, &engine) in ladder.iter().enumerate() {
+        if i > 0 {
+            // The failed attempt left its allocations behind; clear the
+            // device before the fallback engine runs.
+            devices.reset_mem();
+            pass.record(
+                Phase::Symbolic,
+                RecoveryAction::EngineDegraded {
+                    from: name(ladder[i - 1]).to_string(),
+                    to: name(engine).to_string(),
+                },
+            );
+        }
+        attempts += 1;
+        // Partial state only replays on the rung that cut it.
+        let rung_resume = partial
+            .filter(|(tag, _)| *tag == checkpoint::engine_tag(engine))
+            .map(|(_, r)| r);
+        let mut hook_storage;
+        let hook: Option<&mut ChunkHook<'_>> = match durable.as_deref_mut() {
+            Some(Durable { sess, failed }) => {
+                let every = sess.every();
+                hook_storage = move |p: &ChunkProgress| -> Result<(), SimError> {
+                    if !p.iters_done.is_multiple_of(every) {
+                        return Ok(());
+                    }
+                    let payload =
+                        CheckpointSession::symbolic_partial_payload(engine, &p.to_resume());
+                    hooked_cut(
+                        sess,
+                        lead,
+                        trace,
+                        failed,
+                        PhaseMark::SymbolicPartial,
+                        payload,
+                    )
+                };
+                Some(&mut hook_storage)
+            }
+            None => None,
+        };
+        match run_symbolic(pass, matrix, engine, rung_resume, hook) {
+            Ok(result) => {
+                symbolic = Some(result);
+                used_engine = engine;
+                break;
+            }
+            Err(e) => {
+                if let Some(ce) = durable.as_ref().and_then(|d| d.failed.take()) {
+                    return Err(ce);
+                }
+                if matches!(e, SimError::Crashed { .. }) {
+                    // An injected kill is terminal by design: no ladder
+                    // degrades around it — a later run resumes from the
+                    // last durable snapshot.
+                    return Err(e.into());
+                }
+                last_err = Some(e);
+            }
+        }
+    }
+    pass.report.phase_stats.symbolic = lead.stats().since(&sym_before);
+    trace.span_end(
+        "phase.symbolic",
+        "phase",
+        devices.now().as_ns(),
+        &[
+            ("engine", name(used_engine).into()),
+            ("attempts", attempts.into()),
+            ("ok", symbolic.is_some().into()),
+            ("devices", devices.n_alive().into()),
+        ][..3 + n_dev],
+    );
+    symbolic.ok_or_else(|| {
+        let last = last_err.unwrap_or(SimError::BadLaunch("no symbolic engine ran".into()));
+        ladder_exhausted(Phase::Symbolic, attempts, last)
+    })
+}
+
+/// Host threshold-pivot discovery; a zero pivot surfaces as a
+/// [`GpluError::SingularPivot`] before any level ran.
+pub(crate) fn discover(matrix: &Csr, tau: f64) -> Result<PivotDiscovery, GpluError> {
+    discover_pivots(matrix, tau).map_err(|e| match e {
+        SparseError::ZeroPivot { col } => GpluError::SingularPivot {
+            col,
+            level: usize::MAX,
+        },
+        other => GpluError::Sparse(other),
+    })
+}
+
+/// The threshold-pivot stage (host pre-pass): the level-scheduled
+/// engines cannot pivot at runtime, so a sequential Gilbert–Peierls sweep
+/// picks the row permutation *before* levelization. On dominant traffic
+/// the diagonal clears tau everywhere, swaps == 0, and every downstream
+/// artifact is untouched (the fast path the pivoting benchmark
+/// measures). Otherwise the rows are permuted and the predicted fill is
+/// grown in place (bounded), or symbolic re-runs from scratch when the
+/// in-place closure blows its budget.
+fn pivot_stage(
+    pass: &mut Pass<'_>,
+    tau: f64,
+    matrix: &mut Csr,
+    p_row: &mut Permutation,
+    symbolic: &mut SymbolicResult,
+) -> Result<(), GpluError> {
+    let (devices, trace) = (pass.devices, pass.trace);
+    let cost = devices.lead().cost().clone();
+    trace.span_begin(
+        "phase.pivot_discovery",
+        "phase",
+        devices.now().as_ns(),
+        &[("tau", tau.into())],
+    );
+    let disc = discover(matrix, tau);
+    if let Ok(d) = &disc {
+        devices.advance_all(SimTime::from_ns(cost.pivot_discovery_ns(d.flops)));
+    }
+    trace.span_end(
+        "phase.pivot_discovery",
+        "phase",
+        devices.now().as_ns(),
+        &[
+            (
+                "swaps",
+                (disc.as_ref().map_or(0, |d| d.swaps) as u64).into(),
+            ),
+            ("ok", disc.is_ok().into()),
+        ],
+    );
+    let disc = disc?;
+    pass.report.pivot_swaps = disc.swaps;
+    if disc.swaps == 0 {
+        return Ok(());
+    }
+    let p_pivot = Permutation::from_forward(disc.pinv).map_err(|e| {
+        GpluError::Input(format!("pivot discovery produced a non-bijective map: {e}"))
+    })?;
+    let id = Permutation::identity(matrix.n_cols());
+    *matrix = permute_csr(matrix, &p_pivot, &id);
+    *p_row = p_row.then(&p_pivot);
+    let filled_perm = permute_csr(&symbolic.filled, &p_pivot, &id);
+    trace.span_begin(
+        "numeric.pattern_expand",
+        "phase",
+        devices.now().as_ns(),
+        &[],
+    );
+    let budget = 4 * filled_perm.nnz() + 256;
+    let expansion = expand_fill(&filled_perm, budget);
+    devices.advance_all(SimTime::from_ns(
+        cost.pattern_expand_ns((filled_perm.nnz() + expansion.added) as u64),
+    ));
+    trace.span_end(
+        "numeric.pattern_expand",
+        "phase",
+        devices.now().as_ns(),
+        &[
+            ("added", (expansion.added as u64).into()),
+            ("rounds", (expansion.rounds as u64).into()),
+            ("closed", expansion.closed.into()),
+        ],
+    );
+    if expansion.closed {
+        pass.report.pattern_expanded = expansion.added;
+        pass.record(
+            Phase::Symbolic,
+            RecoveryAction::PatternExpanded {
+                added: expansion.added,
+                rounds: expansion.rounds,
+            },
+        );
+        symbolic.filled = expansion.filled;
+    } else {
+        pass.record(
+            Phase::Symbolic,
+            RecoveryAction::Resymbolic {
+                abandoned: expansion.added,
+            },
+        );
+        // Unified memory cannot run out of device capacity, making it
+        // the safe engine for the fallback pass.
+        let prev = pass.report.symbolic;
+        *symbolic = run_symbolic(pass, matrix, SymbolicEngine::UmPrefetch, None, None)?;
+        pass.report.symbolic = prev + pass.report.symbolic;
+    }
+    Ok(())
+}
+
+/// The numeric stage: chooses the format ladder (the paper's switch
+/// criterion and the BLAS-3 crossover for `Auto`, the plan's captured
+/// artifacts on a warm pass), runs it through the level driver —
+/// degrading Dense/Blocked → merge-join on device failure and repairing
+/// one singular pivot — mirrors static-pivot perturbations into
+/// `matrix`, fills the report's numeric fields, and wraps it all in the
+/// `phase.numeric` span.
+pub(crate) fn numeric_stage(
+    pass: &mut Pass<'_>,
+    spec: &NumericSpec<'_>,
+    matrix: &mut Csr,
+    pattern: &mut Csc,
+    levels: &Levels,
+    mut durable: Option<DurableNumeric<'_, '_>>,
+) -> Result<NumericOutcome, GpluError> {
+    let (devices, trace) = (pass.devices, pass.trace);
+    let lead = devices.lead();
+    // Auto follows the paper's *switch* criterion to CSC residency, then
+    // the cost model's BLAS-3 crossover picks between the plain
+    // merge-join kernel and the supernode-blocked variant: blocking only
+    // pays when the filled pattern is dense enough that adjacent columns
+    // share their row sets (mesh/Delaunay-class fill), so the crossover
+    // gates on measured fill density and the detected mean supernode
+    // width. A warm pass already holds the merge engine's entire working
+    // set, so it runs merge directly.
+    let mut detected: Option<BlockPlan> = None;
+    let ladder: &[NumericFormat] = match spec.format {
+        NumericFormat::Auto if spec.warm.is_some() => &[NumericFormat::SparseMerge],
+        NumericFormat::Auto => {
+            if lead.config().should_use_sparse_format(matrix.n_rows()) {
+                let plan = detect_block_plan(lead, pattern, spec.block_threshold, trace);
+                let fill_density = pattern.nnz() as f64 / pattern.n_cols().max(1) as f64;
+                if lead
+                    .cost()
+                    .blocked_crossover(fill_density, plan.mean_width())
+                {
+                    detected = Some(plan);
+                    &[NumericFormat::SparseBlocked, NumericFormat::SparseMerge]
+                } else {
+                    &[NumericFormat::SparseMerge]
+                }
+            } else {
+                &[NumericFormat::Dense, NumericFormat::SparseMerge]
+            }
+        }
+        NumericFormat::Dense => &[NumericFormat::Dense, NumericFormat::SparseMerge],
+        NumericFormat::Sparse => &[NumericFormat::Sparse],
+        NumericFormat::SparseMerge => &[NumericFormat::SparseMerge],
+        NumericFormat::SparseBlocked => {
+            if spec.warm.is_none() {
+                detected = Some(detect_block_plan(
+                    lead,
+                    pattern,
+                    spec.block_threshold,
+                    trace,
+                ));
+            }
+            &[NumericFormat::SparseBlocked, NumericFormat::SparseMerge]
+        }
+    };
+    let block_plan = detected.as_ref().or(spec.warm.and_then(|(_, b)| b));
+    let pivot = spec.warm.map(|(p, _)| p);
+    // Block detection advanced only the lead's clock; re-sync a fleet.
+    devices.barrier();
+    let num_before = lead.stats();
+    let mut attrs: Vec<(&'static str, AttrValue)> =
+        vec![("format", format_name(spec.format).into())];
+    if devices.is_fleet() {
+        attrs.push(("devices", devices.n_alive().into()));
+    }
+    if spec.warm.is_some() {
+        attrs.push(("refactorize", true.into()));
+    }
+    trace.span_begin("phase.numeric", "phase", devices.now().as_ns(), &attrs);
+    // Static perturbation acts inside the engines at division time;
+    // every other policy factorizes exactly (threshold pivoting already
+    // moved its swaps into the row permutation).
+    let rule = match spec.policy {
+        PivotPolicy::Static { threshold } => PivotRule::Perturb { threshold },
+        _ => PivotRule::Exact,
+    };
+    let mut repair_attempted = false;
+    let (numeric, used_format) = 'numeric: loop {
+        let mut last_err: Option<SimError> = None;
+        let mut attempts = 0usize;
+        for (i, &format) in ladder.iter().enumerate() {
+            if i > 0 {
+                devices.reset_mem();
+                pass.record(
+                    Phase::Numeric,
+                    RecoveryAction::FormatDegraded {
+                        from: format_name(ladder[i - 1]).to_string(),
+                        to: format_name(format).to_string(),
+                    },
+                );
+            }
+            attempts += 1;
+            let mut hook_storage;
+            let (hook, rung_resume): (Option<&mut LevelHook<'_>>, _) = match durable.as_mut() {
+                Some(dn) => {
+                    let Durable { sess, failed } = &mut *dn.durable;
+                    let every = sess.every();
+                    hook_storage = move |p: &LevelProgress<'_>| -> Result<(), SimError> {
+                        let done = p.level + 1;
+                        if !done.is_multiple_of(every) && done != p.n_levels {
+                            return Ok(());
+                        }
+                        let state = NumericResume {
+                            start_level: done,
+                            vals: (0..p.vals.len()).map(|k| p.vals.get(k)).collect(),
+                            mode_mix: p.mode_mix,
+                            probes: p.probes,
+                            merge_steps: p.merge_steps,
+                            batches: p.batches,
+                            gemm_tiles: p.gemm_tiles,
+                        };
+                        let payload = CheckpointSession::numeric_partial_payload(format, &state);
+                        hooked_cut(
+                            sess,
+                            lead,
+                            trace,
+                            failed,
+                            PhaseMark::NumericPartial,
+                            payload,
+                        )
+                    };
+                    let resume = dn
+                        .partial
+                        .as_ref()
+                        .filter(|(tag, _)| *tag == checkpoint::format_tag(format))
+                        .map(|(_, r)| r);
+                    (Some(&mut hook_storage), resume)
+                }
+                None => (None, None),
+            };
+            let mut engine: Box<dyn NumericEngine + '_> = match format {
+                NumericFormat::Dense => Box::new(DenseEngine::new()),
+                NumericFormat::Sparse => Box::new(SparseEngine::new(None)),
+                NumericFormat::SparseBlocked => Box::new(BlockedEngine::new(
+                    block_plan.expect("blocked rung carries a plan"),
+                )),
+                NumericFormat::Auto | NumericFormat::SparseMerge => Box::new(MergeEngine::new()),
+            };
+            let run = run_levels(
+                engine.as_mut(),
+                devices,
+                pattern,
+                levels,
+                trace,
+                rung_resume,
+                hook,
+                pivot,
+                rule,
+            );
+            match run {
+                Ok(out) => break 'numeric (out, format),
+                Err(NumericError::Sim(e)) => {
+                    if let Some(ce) = durable.as_ref().and_then(|dn| dn.durable.failed.take()) {
+                        return Err(ce);
+                    }
+                    if matches!(e, SimError::Crashed { .. }) {
+                        return Err(e.into());
+                    }
+                    last_err = Some(e);
+                }
+                Err(NumericError::SingularPivot { col, level }) => {
+                    // A pivot cancelled to zero mid-elimination. The
+                    // structure is unchanged, so the symbolic result and
+                    // schedule stay valid: patch the diagonal (the paper's
+                    // Table 4 constant) and retry the numeric ladder once.
+                    let old = match spec.repair {
+                        Some(value) if !repair_attempted => {
+                            bump_diag(matrix, pattern, col, value).map(|o| (o, value))
+                        }
+                        _ => None,
+                    };
+                    let Some((old, value)) = old else {
+                        return Err(GpluError::SingularPivot { col, level });
+                    };
+                    repair_attempted = true;
+                    devices.reset_mem();
+                    pass.record(
+                        Phase::Numeric,
+                        RecoveryAction::PivotRepaired {
+                            col,
+                            value,
+                            magnitude: (value - old).abs(),
+                        },
+                    );
+                    pass.report.repaired_diagonals += 1;
+                    if let Some(dn) = durable.as_mut() {
+                        // Any mid-level snapshot predates the repair;
+                        // restart the numeric phase fresh and make the
+                        // repaired matrix the durable one.
+                        dn.partial = None;
+                        let sess = &mut *dn.durable.sess;
+                        sess.set_preprocess(&PreState {
+                            matrix: matrix.clone(),
+                            p_row: dn.p_row.clone(),
+                            p_col: dn.p_col.clone(),
+                            repaired: pass.report.repaired_diagonals,
+                            time_ns: pass.report.preprocess.as_ns(),
+                        });
+                        sess.note_recovery(&pass.report.recovery);
+                        sess.cut(lead, trace, PhaseMark::Levelized, None)?;
+                    }
+                    continue 'numeric;
+                }
+                Err(NumericError::Input(msg)) => return Err(GpluError::Input(msg)),
+            }
+        }
+        let last = last_err.unwrap_or(SimError::BadLaunch("no numeric format ran".into()));
+        return Err(ladder_exhausted(Phase::Numeric, attempts, last));
+    };
+    pass.note_losses(Phase::Numeric);
+    let report = &mut pass.report;
+    report.numeric = numeric.time;
+    report.mode_mix = (numeric.mode_mix.a, numeric.mode_mix.b, numeric.mode_mix.c);
+    report.m_limit = numeric.m_limit;
+    report.probes = numeric.probes;
+    report.merge_steps = numeric.merge_steps;
+    report.gemm_tiles = numeric.gemm_tiles;
+    let end_attrs = [
+        ("format", format_name(used_format).into()),
+        ("mode_a", numeric.mode_mix.a.into()),
+        ("mode_b", numeric.mode_mix.b.into()),
+        ("mode_c", numeric.mode_mix.c.into()),
+        ("devices", devices.n_alive().into()),
+    ];
+    let n_end = if devices.is_fleet() { 5 } else { 4 };
+    trace.span_end(
+        "phase.numeric",
+        "phase",
+        devices.now().as_ns(),
+        &end_attrs[..n_end],
+    );
+    report.phase_stats.numeric = lead.stats().since(&num_before);
+    if !numeric.perturbations.is_empty() {
+        // The factors exactly factor the bumped matrix; mirror the clamp
+        // deltas into the matrix so residuals and solves target the
+        // system the factors represent.
+        let mut max_delta = 0.0f64;
+        for &(col, delta) in &numeric.perturbations {
+            add_to_diag(matrix, col, delta);
+            max_delta = max_delta.max(delta.abs());
+        }
+        pass.record(
+            Phase::Numeric,
+            RecoveryAction::PivotPerturbed {
+                cols: numeric.perturbations.len(),
+                max_delta,
+            },
+        );
+    }
+    Ok(numeric)
+}
+
+/// The residual acceptance gate: solves `f` against probe right-hand
+/// sides, stores the relative residual in its report, and emits the
+/// `numeric.residual_gate` instant, tagged with the pass's pivoting
+/// `policy` (cold) or as a refactorization (warm, `None`). `Err` carries
+/// a failing residual; a disabled gate passes without measuring.
+pub(crate) fn residual_gate(
+    f: &mut LuFactorization,
+    gate: &ResidualGate,
+    devices: Devices<'_>,
+    trace: &dyn TraceSink,
+    policy: Option<PivotPolicy>,
+) -> Result<(), f64> {
+    if !gate.enabled {
+        return Ok(());
+    }
+    let r = residual_probe(&f.preprocessed, &f.lu, gate.probes.max(1));
+    f.report.residual = Some(r);
+    let pass = r.is_finite() && r <= gate.threshold;
+    if trace.enabled() {
+        let tag = match policy {
+            Some(p) => ("policy", AttrValue::Str(policy_desc(p))),
+            None => ("refactorize", true.into()),
+        };
+        trace.instant(
+            "numeric.residual_gate",
+            "verify",
+            devices.now().as_ns(),
+            &[
+                ("residual", r.into()),
+                ("threshold", gate.threshold.into()),
+                ("pass", pass.into()),
+                tag,
+            ],
+        );
+    }
+    if pass {
+        Ok(())
+    } else {
+        Err(r)
+    }
 }
 
 /// Cuts an in-kernel snapshot from an engine hook. Injected crashes
@@ -428,7 +1045,7 @@ impl LuFactorization {
         opts: &LuOptions,
         trace: &dyn TraceSink,
     ) -> Result<Self, GpluError> {
-        Self::compute_inner(gpu, a, opts, None, trace)
+        Self::compute_inner(Devices::One(gpu), a, opts, None, trace)
     }
 
     /// [`LuFactorization::compute_traced`] with crash-consistent
@@ -448,19 +1065,19 @@ impl LuFactorization {
         trace: &dyn TraceSink,
     ) -> Result<Self, GpluError> {
         let mut session = CheckpointSession::open(ckpt, a, opts, gpu, trace)?;
-        Self::compute_inner(gpu, a, opts, Some(&mut session), trace)
+        Self::compute_inner(Devices::One(gpu), a, opts, Some(&mut session), trace)
     }
 
-    /// The residual-gated escalation loop around [`Self::compute_once`]:
-    /// runs the user's pivoting policy, measures the factors against the
-    /// acceptance gate, and — when [`ResidualGate::escalate`] is set —
-    /// climbs the ladder (threshold pivoting at the default tau → full
-    /// partial pivoting → static perturbation floor) until a rung passes
-    /// or every rung is spent, in which case the typed
-    /// [`GpluError::NumericallySingular`] rejection is returned. Never a
-    /// silently wrong answer.
-    fn compute_inner(
-        gpu: &Gpu,
+    /// The residual-gated escalation ladder around [`Self::compute_once`]
+    /// — the one ladder every placement shares: runs the user's pivoting
+    /// policy, measures the factors against the acceptance gate, and —
+    /// when [`ResidualGate::escalate`] is set — climbs the ladder
+    /// (threshold pivoting at the default tau → full partial pivoting →
+    /// static perturbation floor) until a rung passes or every rung is
+    /// spent, in which case the typed [`GpluError::NumericallySingular`]
+    /// rejection is returned. Never a silently wrong answer.
+    pub(crate) fn compute_inner(
+        devices: Devices<'_>,
         a: &Csr,
         opts: &LuOptions,
         mut session: Option<&mut CheckpointSession>,
@@ -491,44 +1108,26 @@ impl LuFactorization {
         let total = rungs.len();
         let mut best_residual = f64::INFINITY;
         for (i, &policy) in rungs.iter().enumerate() {
-            let mut seed = RecoveryLog::default();
+            let mut pass = Pass::new(devices, trace);
             if i > 0 {
-                let action = RecoveryAction::PivotEscalated {
-                    from: policy_desc(rungs[i - 1]),
-                    to: policy_desc(policy),
-                };
-                trace_recovery(trace, gpu.now().as_ns(), Phase::Numeric, &action);
-                seed.record(Phase::Numeric, action);
+                pass.record(
+                    Phase::Numeric,
+                    RecoveryAction::PivotEscalated {
+                        from: policy_desc(rungs[i - 1]),
+                        to: policy_desc(policy),
+                    },
+                );
             }
             // Durability covers only the first attempt: an escalated
             // retry runs under a different policy, so a partial snapshot
             // from the failed rung must not replay into it.
             let sess = if i == 0 { session.take() } else { None };
-            match Self::compute_once(gpu, a, opts, policy, sess, trace, seed) {
+            match Self::compute_once(pass, a, opts, policy, sess) {
                 Ok(mut f) => {
-                    if !opts.gate.enabled {
-                        return Ok(f);
+                    match residual_gate(&mut f, &opts.gate, devices, trace, Some(policy)) {
+                        Ok(()) => return Ok(f),
+                        Err(r) => best_residual = best_residual.min(r),
                     }
-                    let r = residual_probe(&f.preprocessed, &f.lu, opts.gate.probes.max(1));
-                    f.report.residual = Some(r);
-                    let pass = r.is_finite() && r <= opts.gate.threshold;
-                    if trace.enabled() {
-                        trace.instant(
-                            "numeric.residual_gate",
-                            "verify",
-                            gpu.now().as_ns(),
-                            &[
-                                ("residual", r.into()),
-                                ("threshold", opts.gate.threshold.into()),
-                                ("pass", pass.into()),
-                                ("policy", AttrValue::Str(policy_desc(policy))),
-                            ],
-                        );
-                    }
-                    if pass {
-                        return Ok(f);
-                    }
-                    best_residual = best_residual.min(r);
                 }
                 Err(e @ GpluError::Crashed { .. }) => return Err(e),
                 Err(e) => {
@@ -554,583 +1153,178 @@ impl LuFactorization {
         })
     }
 
-    /// One full pipeline pass under a fixed pivoting policy. The caller
-    /// ([`Self::compute_inner`]) owns gating and escalation;
-    /// `seed_recovery` carries any escalation events that led here.
+    /// One full pipeline pass under a fixed pivoting policy:
+    /// preprocess → symbolic → pivot discovery → levelize → numeric. The
+    /// caller ([`Self::compute_inner`]) owns gating and escalation; `pass`
+    /// carries any escalation events that led here. A `session` (one
+    /// device only) cuts a durable snapshot at every phase boundary and
+    /// replays a resumed one.
     fn compute_once(
-        gpu: &Gpu,
+        mut pass: Pass<'_>,
         a: &Csr,
         opts: &LuOptions,
         policy: PivotPolicy,
         mut session: Option<&mut CheckpointSession>,
-        trace: &dyn TraceSink,
-        seed_recovery: RecoveryLog,
     ) -> Result<Self, GpluError> {
-        let mut report = PhaseReport::default();
-        let mut recovery = seed_recovery;
-        let every = session.as_ref().map_or(usize::MAX, |s| s.every());
-        // Checkpoint I/O failures inside engine hooks land here (see
-        // `hooked_cut`); the ladders rethrow them instead of degrading.
-        let ckpt_err: RefCell<Option<GpluError>> = RefCell::new(None);
+        let (devices, trace) = (pass.devices, pass.trace);
         let resume_state = session.as_mut().and_then(|s| s.resume.take());
+        let mut durable = session.map(|sess| Durable {
+            sess,
+            failed: RefCell::new(None),
+        });
         if let Some(r) = &resume_state {
             // Continue the interrupted run's clock so simulated timings
             // accumulate across the restart rather than starting over.
-            let now = gpu.now().as_ns();
+            let now = devices.now().as_ns();
             if r.clock_ns > now {
-                gpu.advance(SimTime::from_ns(r.clock_ns - now));
+                devices.advance_all(SimTime::from_ns(r.clock_ns - now));
             }
-            recovery = r.recovery.clone();
+            pass.report.recovery = r.recovery.clone();
         }
 
-        // 1. Pre-processing (host) — replayed from the snapshot on
-        // resume (every snapshot carries it, including any later
-        // diagonal repairs).
+        // 1. Pre-processing (host) — every live device waits on it.
+        // Replayed from the snapshot on resume (every snapshot carries it,
+        // including any later diagonal repairs).
         let (mut matrix, mut p_row, p_col) = if let Some(r) = &resume_state {
             let pre = &r.pre;
-            report.preprocess = SimTime::from_ns(pre.time_ns);
-            report.repaired_diagonals = pre.repaired;
+            pass.report.preprocess = SimTime::from_ns(pre.time_ns);
+            pass.report.repaired_diagonals = pre.repaired;
             (pre.matrix.clone(), pre.p_row.clone(), pre.p_col.clone())
         } else {
-            let pre_before = gpu.stats();
-            trace.span_begin("phase.preprocess", "phase", gpu.now().as_ns(), &[]);
+            let lead = devices.lead();
+            let pre_before = lead.stats();
+            trace.span_begin("phase.preprocess", "phase", devices.now().as_ns(), &[]);
             let PreprocessOutcome {
                 matrix,
                 p_row,
                 p_col,
                 repaired,
                 time,
-            } = preprocess(a, &opts.preprocess, gpu.cost())?;
-            gpu.advance(time);
-            report.preprocess = time;
-            report.repaired_diagonals = repaired;
+            } = preprocess(a, &opts.preprocess, lead.cost())?;
+            devices.advance_all(time);
+            pass.report.preprocess = time;
+            pass.report.repaired_diagonals = repaired;
             trace.span_end(
                 "phase.preprocess",
                 "phase",
-                gpu.now().as_ns(),
+                devices.now().as_ns(),
                 &[("repaired_diagonals", repaired.into())],
             );
-            report.phase_stats.preprocess = gpu.stats().since(&pre_before);
-            if let Some(sess) = session.as_deref_mut() {
-                sess.set_preprocess(&PreState {
+            pass.report.phase_stats.preprocess = lead.stats().since(&pre_before);
+            if let Some(d) = durable.as_mut() {
+                d.sess.set_preprocess(&PreState {
                     matrix: matrix.clone(),
                     p_row: p_row.clone(),
                     p_col: p_col.clone(),
                     repaired,
                     time_ns: time.as_ns(),
                 });
-                sess.cut(gpu, trace, PhaseMark::Preprocessed, None)?;
+                d.sess.cut(lead, trace, PhaseMark::Preprocessed, None)?;
             }
             (matrix, p_row, p_col)
         };
 
-        // 2. Symbolic factorization (GPU), with engine degradation: the
-        // out-of-core engines already back off their chunk sizes under
-        // OOM; if one still fails, fall back to unified memory, whose
-        // on-demand paging cannot run out of device capacity. A snapshot
-        // past this phase replays the filled pattern instead; a partial
-        // snapshot replays the chunk watermark on the engine that cut it.
-        let mut symbolic = if let Some(done) =
-            resume_state.as_ref().and_then(|r| r.symbolic.as_ref())
-        {
-            report.chunk_size = done.chunk_size;
-            report.symbolic_iterations = done.iterations;
-            done.result.clone()
-        } else {
-            let sym_partial = resume_state.as_ref().and_then(|r| r.sym_partial.as_ref());
-            let engine_ladder: &[SymbolicEngine] = match opts.symbolic {
-                SymbolicEngine::Ooc => &[SymbolicEngine::Ooc, SymbolicEngine::UmPrefetch],
-                SymbolicEngine::OocDynamic => {
-                    &[SymbolicEngine::OocDynamic, SymbolicEngine::UmPrefetch]
+        // 2. Symbolic factorization — replayed from a snapshot past this
+        // phase.
+        let mut symbolic =
+            if let Some(done) = resume_state.as_ref().and_then(|r| r.symbolic.as_ref()) {
+                pass.report.chunk_size = done.chunk_size;
+                pass.report.symbolic_iterations = done.iterations;
+                done.result.clone()
+            } else {
+                let partial = resume_state.as_ref().and_then(|r| r.sym_partial.as_ref());
+                let symbolic =
+                    symbolic_stage(&mut pass, &matrix, opts.symbolic, partial, durable.as_mut())?;
+                if let Some(d) = durable.as_mut() {
+                    let r = &pass.report;
+                    d.sess
+                        .set_symbolic(&symbolic, r.chunk_size, r.symbolic_iterations);
+                    d.sess.note_recovery(&r.recovery);
+                    d.sess
+                        .cut(devices.lead(), trace, PhaseMark::Symbolic, None)?;
                 }
-                SymbolicEngine::UmNoPrefetch => &[SymbolicEngine::UmNoPrefetch],
-                SymbolicEngine::UmPrefetch => &[SymbolicEngine::UmPrefetch],
+                symbolic
             };
-            let sym_before = gpu.stats();
-            trace.span_begin(
-                "phase.symbolic",
-                "phase",
-                gpu.now().as_ns(),
-                &[("engine", engine_name(opts.symbolic).into())],
-            );
-            let mut symbolic: Option<SymbolicResult> = None;
-            let mut last_err: Option<SimError> = None;
-            let mut attempts = 0usize;
-            let mut used_engine = opts.symbolic;
-            for (i, &engine) in engine_ladder.iter().enumerate() {
-                if i > 0 {
-                    // The failed attempt left its allocations behind; clear
-                    // the device before the fallback engine runs.
-                    gpu.mem.reset();
-                    let action = RecoveryAction::EngineDegraded {
-                        from: engine_name(engine_ladder[i - 1]).to_string(),
-                        to: engine_name(engine).to_string(),
-                    };
-                    trace_recovery(trace, gpu.now().as_ns(), Phase::Symbolic, &action);
-                    recovery.record(Phase::Symbolic, action);
-                }
-                attempts += 1;
-                // Partial state only replays on the rung that cut it.
-                let rung_resume = sym_partial
-                    .filter(|(tag, _)| *tag == checkpoint::engine_tag(engine))
-                    .map(|(_, r)| r);
-                let mut hook_storage;
-                let hook: Option<&mut ChunkHook<'_>> = match session.as_deref_mut() {
-                    Some(sess) => {
-                        let slot = &ckpt_err;
-                        hook_storage = move |p: &ChunkProgress| -> Result<(), SimError> {
-                            if !p.iters_done.is_multiple_of(every) {
-                                return Ok(());
-                            }
-                            let payload =
-                                CheckpointSession::symbolic_partial_payload(engine, &p.to_resume());
-                            hooked_cut(sess, gpu, trace, slot, PhaseMark::SymbolicPartial, payload)
-                        };
-                        Some(&mut hook_storage)
-                    }
-                    None => None,
-                };
-                match run_symbolic(
-                    gpu,
-                    &matrix,
-                    engine,
-                    &mut report,
-                    &mut recovery,
-                    trace,
-                    rung_resume,
-                    hook,
-                ) {
-                    Ok(result) => {
-                        symbolic = Some(result);
-                        used_engine = engine;
-                        break;
-                    }
-                    Err(e) => {
-                        if let Some(ce) = ckpt_err.borrow_mut().take() {
-                            return Err(ce);
-                        }
-                        if matches!(e, SimError::Crashed { .. }) {
-                            // An injected kill is terminal by design: no
-                            // ladder degrades around it — a later run
-                            // resumes from the last durable snapshot.
-                            return Err(e.into());
-                        }
-                        last_err = Some(e);
-                    }
-                }
-            }
-            report.phase_stats.symbolic = gpu.stats().since(&sym_before);
-            trace.span_end(
-                "phase.symbolic",
-                "phase",
-                gpu.now().as_ns(),
-                &[
-                    ("engine", engine_name(used_engine).into()),
-                    ("attempts", attempts.into()),
-                    ("ok", symbolic.is_some().into()),
-                ],
-            );
-            let Some(symbolic) = symbolic else {
-                let last = last_err.unwrap_or(SimError::BadLaunch("no symbolic engine ran".into()));
-                return Err(ladder_exhausted(Phase::Symbolic, attempts, last));
-            };
-            if let Some(sess) = session.as_deref_mut() {
-                sess.set_symbolic(&symbolic, report.chunk_size, report.symbolic_iterations);
-                sess.note_recovery(&recovery);
-                sess.cut(gpu, trace, PhaseMark::Symbolic, None)?;
-            }
-            symbolic
-        };
 
-        // 2b. Threshold-pivot discovery (host pre-pass): the
-        // level-scheduled engines cannot pivot at runtime, so under the
-        // threshold policy a sequential Gilbert–Peierls sweep picks the
-        // row permutation *before* levelization. On dominant traffic the
-        // diagonal clears tau everywhere, swaps == 0, and every
-        // downstream artifact is untouched (the fast path the pivoting
-        // benchmark measures).
+        // 2b. Threshold-pivot discovery (host pre-pass).
         if let PivotPolicy::Threshold { tau } = policy {
-            trace.span_begin(
-                "phase.pivot_discovery",
-                "phase",
-                gpu.now().as_ns(),
-                &[("tau", tau.into())],
-            );
-            let disc = discover_pivots(&matrix, tau).map_err(|e| match e {
-                SparseError::ZeroPivot { col } => GpluError::SingularPivot {
-                    col,
-                    level: usize::MAX,
-                },
-                other => GpluError::Sparse(other),
-            });
-            if let Ok(d) = &disc {
-                gpu.advance(SimTime::from_ns(gpu.cost().pivot_discovery_ns(d.flops)));
-            }
-            trace.span_end(
-                "phase.pivot_discovery",
-                "phase",
-                gpu.now().as_ns(),
-                &[
-                    (
-                        "swaps",
-                        (disc.as_ref().map_or(0, |d| d.swaps) as u64).into(),
-                    ),
-                    ("ok", disc.is_ok().into()),
-                ],
-            );
-            let disc = disc?;
-            report.pivot_swaps = disc.swaps;
-            if disc.swaps > 0 {
-                let p_pivot = Permutation::from_forward(disc.pinv).map_err(|e| {
-                    GpluError::Input(format!("pivot discovery produced a non-bijective map: {e}"))
-                })?;
-                let id = Permutation::identity(matrix.n_cols());
-                matrix = permute_csr(&matrix, &p_pivot, &id);
-                p_row = p_row.then(&p_pivot);
-                // The predicted fill no longer covers the permuted rows;
-                // grow it in place (bounded), or re-run symbolic from
-                // scratch when the in-place closure blows its budget.
-                let filled_perm = permute_csr(&symbolic.filled, &p_pivot, &id);
-                trace.span_begin("numeric.pattern_expand", "phase", gpu.now().as_ns(), &[]);
-                let budget = 4 * filled_perm.nnz() + 256;
-                let expansion = expand_fill(&filled_perm, budget);
-                gpu.advance(SimTime::from_ns(
-                    gpu.cost()
-                        .pattern_expand_ns((filled_perm.nnz() + expansion.added) as u64),
-                ));
-                trace.span_end(
-                    "numeric.pattern_expand",
-                    "phase",
-                    gpu.now().as_ns(),
-                    &[
-                        ("added", (expansion.added as u64).into()),
-                        ("rounds", (expansion.rounds as u64).into()),
-                        ("closed", expansion.closed.into()),
-                    ],
-                );
-                if expansion.closed {
-                    report.pattern_expanded = expansion.added;
-                    let action = RecoveryAction::PatternExpanded {
-                        added: expansion.added,
-                        rounds: expansion.rounds,
-                    };
-                    trace_recovery(trace, gpu.now().as_ns(), Phase::Symbolic, &action);
-                    recovery.record(Phase::Symbolic, action);
-                    symbolic.filled = expansion.filled;
-                } else {
-                    let action = RecoveryAction::Resymbolic {
-                        abandoned: expansion.added,
-                    };
-                    trace_recovery(trace, gpu.now().as_ns(), Phase::Symbolic, &action);
-                    recovery.record(Phase::Symbolic, action);
-                    // Unified memory cannot run out of device capacity,
-                    // making it the safe engine for the fallback pass.
-                    let prev = report.symbolic;
-                    symbolic = run_symbolic(
-                        gpu,
-                        &matrix,
-                        SymbolicEngine::UmPrefetch,
-                        &mut report,
-                        &mut recovery,
-                        trace,
-                        None,
-                        None,
-                    )?;
-                    report.symbolic = prev + report.symbolic;
-                }
-            }
+            pivot_stage(&mut pass, tau, &mut matrix, &mut p_row, &mut symbolic)?;
         }
-        report.fill_nnz = symbolic.fill_nnz();
-        report.new_fill_ins = symbolic.new_fill_ins(&matrix);
+        pass.report.fill_nnz = symbolic.fill_nnz();
+        pass.report.new_fill_ins = symbolic.new_fill_ins(&matrix);
 
-        // 3. Levelization (GPU, dynamic parallelism) — replayed from the
-        // snapshot when available ([`Levels::from_level_of`] rebuilds the
-        // groups deterministically).
+        // 3. Levelization (GPU, dynamic parallelism) on the lead device —
+        // the dependency DAG is global state every device needs — then a
+        // barrier so a fleet enters the numeric phase together. Replayed
+        // from the snapshot when available ([`Levels::from_level_of`]
+        // rebuilds the groups deterministically).
         let levels: Levels = if let Some(lv) = resume_state.as_ref().and_then(|r| r.levels()) {
-            report.n_levels = lv.n_levels();
-            report.max_level_width = lv.max_width();
+            pass.report.n_levels = lv.n_levels();
+            pass.report.max_level_width = lv.max_width();
             lv
         } else {
-            let lvl_before = gpu.stats();
-            trace.span_begin("phase.levelize", "phase", gpu.now().as_ns(), &[]);
+            let lead = devices.lead();
+            let lvl_before = lead.stats();
+            trace.span_begin("phase.levelize", "phase", devices.now().as_ns(), &[]);
             let dep = DepGraph::build(&symbolic.filled);
-            let lvl = levelize_gpu_traced(gpu, &dep, trace).map_err(|e| match e {
+            let lvl = levelize_gpu_traced(lead, &dep, trace).map_err(|e| match e {
                 SimError::OutOfMemory { .. } => GpluError::DeviceOom {
                     phase: Phase::Levelize,
                     attempts: 1,
                 },
                 other => GpluError::from(other),
             })?;
-            report.levelize = lvl.time;
-            report.n_levels = lvl.levels.n_levels();
-            report.max_level_width = lvl.levels.max_width();
+            devices.barrier();
+            let r = &mut pass.report;
+            r.levelize = lvl.time;
+            r.n_levels = lvl.levels.n_levels();
+            r.max_level_width = lvl.levels.max_width();
             trace.span_end(
                 "phase.levelize",
                 "phase",
-                gpu.now().as_ns(),
+                devices.now().as_ns(),
                 &[
-                    ("levels", report.n_levels.into()),
-                    ("max_width", report.max_level_width.into()),
+                    ("levels", r.n_levels.into()),
+                    ("max_width", r.max_level_width.into()),
                 ],
             );
-            report.phase_stats.levelize = gpu.stats().since(&lvl_before);
-            if let Some(sess) = session.as_deref_mut() {
-                sess.set_levels(&lvl.levels.level_of);
-                sess.note_recovery(&recovery);
-                sess.cut(gpu, trace, PhaseMark::Levelized, None)?;
+            r.phase_stats.levelize = lead.stats().since(&lvl_before);
+            if let Some(d) = durable.as_mut() {
+                d.sess.set_levels(&lvl.levels.level_of);
+                d.sess.note_recovery(&r.recovery);
+                d.sess.cut(lead, trace, PhaseMark::Levelized, None)?;
             }
             lvl.levels
         };
 
-        // 4. Numeric factorization (GPU), format per the paper's
-        // criterion unless forced, with format degradation: the dense
-        // engine's O(n) column buffers are the memory-hungry rung; on
-        // device failure fall back to the buffer-free merge-join CSC
-        // kernel. (Forced Sparse/SparseMerge are already the conservative
-        // formats and run as requested.) A partial snapshot replays the
+        // 4. Numeric factorization. A partial snapshot replays the
         // completed-level watermark and value store on the format that
         // cut it.
         let mut pattern = csr_to_csc(&symbolic.filled);
-        // Auto follows the paper's *switch* criterion to CSC residency,
-        // then the cost model's BLAS-3 crossover picks between the plain
-        // merge-join kernel and the supernode-blocked variant: blocking
-        // only pays when the filled pattern is dense enough that adjacent
-        // columns share their row sets (mesh/Delaunay-class fill), so the
-        // crossover gates on measured fill density and the detected mean
-        // supernode width.
-        let mut block_plan: Option<BlockPlan> = None;
-        let format_ladder: &[NumericFormat] = match opts.format {
-            NumericFormat::Auto => {
-                if gpu.config().should_use_sparse_format(matrix.n_rows()) {
-                    let plan = detect_block_plan(gpu, &pattern, opts.block_threshold, trace);
-                    let fill_density = pattern.nnz() as f64 / pattern.n_cols().max(1) as f64;
-                    if gpu
-                        .cost()
-                        .blocked_crossover(fill_density, plan.mean_width())
-                    {
-                        block_plan = Some(plan);
-                        &[NumericFormat::SparseBlocked, NumericFormat::SparseMerge]
-                    } else {
-                        &[NumericFormat::SparseMerge]
-                    }
-                } else {
-                    &[NumericFormat::Dense, NumericFormat::SparseMerge]
-                }
-            }
-            NumericFormat::Dense => &[NumericFormat::Dense, NumericFormat::SparseMerge],
-            NumericFormat::Sparse => &[NumericFormat::Sparse],
-            NumericFormat::SparseMerge => &[NumericFormat::SparseMerge],
-            NumericFormat::SparseBlocked => {
-                block_plan = Some(detect_block_plan(
-                    gpu,
-                    &pattern,
-                    opts.block_threshold,
-                    trace,
-                ));
-                &[NumericFormat::SparseBlocked, NumericFormat::SparseMerge]
-            }
+        let spec = NumericSpec {
+            format: opts.format,
+            block_threshold: opts.block_threshold,
+            policy,
+            repair: opts
+                .preprocess
+                .repair_singular
+                .then_some(opts.preprocess.repair_value),
+            warm: None,
         };
-        let num_before = gpu.stats();
-        trace.span_begin(
-            "phase.numeric",
-            "phase",
-            gpu.now().as_ns(),
-            &[("format", format_name(opts.format).into())],
-        );
-        let mut num_partial = resume_state.as_ref().and_then(|r| r.numeric.clone());
-        let mut repair_attempted = false;
-        // Static perturbation acts inside the engines at division time;
-        // every other policy factorizes exactly (threshold pivoting
-        // already moved its swaps into the row permutation above).
-        let rule = match policy {
-            PivotPolicy::Static { threshold } => PivotRule::Perturb { threshold },
-            _ => PivotRule::Exact,
-        };
-        let (numeric, used_format) = 'numeric: loop {
-            let mut last_err: Option<SimError> = None;
-            let mut attempts = 0usize;
-            for (i, &format) in format_ladder.iter().enumerate() {
-                if i > 0 {
-                    gpu.mem.reset();
-                    let action = RecoveryAction::FormatDegraded {
-                        from: format_name(format_ladder[i - 1]).to_string(),
-                        to: format_name(format).to_string(),
-                    };
-                    trace_recovery(trace, gpu.now().as_ns(), Phase::Numeric, &action);
-                    recovery.record(Phase::Numeric, action);
-                }
-                attempts += 1;
-                let rung_resume = num_partial
-                    .as_ref()
-                    .filter(|(tag, _)| *tag == checkpoint::format_tag(format))
-                    .map(|(_, r)| r);
-                let mut hook_storage;
-                let hook: Option<&mut LevelHook<'_>> = match session.as_deref_mut() {
-                    Some(sess) => {
-                        let slot = &ckpt_err;
-                        hook_storage = move |p: &LevelProgress<'_>| -> Result<(), SimError> {
-                            let done = p.level + 1;
-                            if !done.is_multiple_of(every) && done != p.n_levels {
-                                return Ok(());
-                            }
-                            let vals: Vec<f64> = (0..p.vals.len()).map(|k| p.vals.get(k)).collect();
-                            let state = NumericResume {
-                                start_level: done,
-                                vals,
-                                mode_mix: p.mode_mix,
-                                probes: p.probes,
-                                merge_steps: p.merge_steps,
-                                batches: p.batches,
-                                gemm_tiles: p.gemm_tiles,
-                            };
-                            let payload =
-                                CheckpointSession::numeric_partial_payload(format, &state);
-                            hooked_cut(sess, gpu, trace, slot, PhaseMark::NumericPartial, payload)
-                        };
-                        Some(&mut hook_storage)
-                    }
-                    None => None,
-                };
-                let run = match format {
-                    NumericFormat::Dense => factorize_gpu_dense_run_cached(
-                        gpu,
-                        &pattern,
-                        &levels,
-                        trace,
-                        rung_resume,
-                        hook,
-                        None,
-                        rule,
-                    ),
-                    NumericFormat::Sparse => factorize_gpu_sparse_run_cached(
-                        gpu,
-                        &pattern,
-                        &levels,
-                        None,
-                        trace,
-                        rung_resume,
-                        hook,
-                        None,
-                        rule,
-                    ),
-                    NumericFormat::SparseBlocked => factorize_gpu_blocked_run_cached(
-                        gpu,
-                        &pattern,
-                        &levels,
-                        block_plan.as_ref().expect("blocked rung carries a plan"),
-                        trace,
-                        rung_resume,
-                        hook,
-                        None,
-                        rule,
-                    ),
-                    NumericFormat::Auto | NumericFormat::SparseMerge => {
-                        factorize_gpu_merge_run_cached(
-                            gpu,
-                            &pattern,
-                            &levels,
-                            trace,
-                            rung_resume,
-                            hook,
-                            None,
-                            rule,
-                        )
-                    }
-                };
-                match run {
-                    Ok(out) => break 'numeric (out, format),
-                    Err(NumericError::Sim(e)) => {
-                        if let Some(ce) = ckpt_err.borrow_mut().take() {
-                            return Err(ce);
-                        }
-                        if matches!(e, SimError::Crashed { .. }) {
-                            return Err(e.into());
-                        }
-                        last_err = Some(e);
-                    }
-                    Err(NumericError::SingularPivot { col, level }) => {
-                        // A pivot cancelled to zero mid-elimination. The
-                        // structure is unchanged, so the symbolic result
-                        // and schedule stay valid: patch the diagonal
-                        // (the paper's Table 4 constant) and retry the
-                        // numeric ladder once.
-                        let value = opts.preprocess.repair_value;
-                        let old = if opts.preprocess.repair_singular && !repair_attempted {
-                            bump_diag(&mut matrix, &mut pattern, col, value)
-                        } else {
-                            None
-                        };
-                        if let Some(old) = old {
-                            repair_attempted = true;
-                            gpu.mem.reset();
-                            let action = RecoveryAction::PivotRepaired {
-                                col,
-                                value,
-                                magnitude: (value - old).abs(),
-                            };
-                            trace_recovery(trace, gpu.now().as_ns(), Phase::Numeric, &action);
-                            recovery.record(Phase::Numeric, action);
-                            report.repaired_diagonals += 1;
-                            // Any mid-level snapshot predates the repair;
-                            // restart the numeric phase fresh and make the
-                            // repaired matrix the durable one.
-                            num_partial = None;
-                            if let Some(sess) = session.as_deref_mut() {
-                                sess.set_preprocess(&PreState {
-                                    matrix: matrix.clone(),
-                                    p_row: p_row.clone(),
-                                    p_col: p_col.clone(),
-                                    repaired: report.repaired_diagonals,
-                                    time_ns: report.preprocess.as_ns(),
-                                });
-                                sess.note_recovery(&recovery);
-                                sess.cut(gpu, trace, PhaseMark::Levelized, None)?;
-                            }
-                            continue 'numeric;
-                        }
-                        return Err(GpluError::SingularPivot { col, level });
-                    }
-                    Err(NumericError::Input(msg)) => return Err(GpluError::Input(msg)),
-                }
-            }
-            let last = last_err.unwrap_or(SimError::BadLaunch("no numeric format ran".into()));
-            return Err(ladder_exhausted(Phase::Numeric, attempts, last));
-        };
-        report.numeric = numeric.time;
-        report.mode_mix = (numeric.mode_mix.a, numeric.mode_mix.b, numeric.mode_mix.c);
-        report.m_limit = numeric.m_limit;
-        report.probes = numeric.probes;
-        report.merge_steps = numeric.merge_steps;
-        report.gemm_tiles = numeric.gemm_tiles;
-        trace.span_end(
-            "phase.numeric",
-            "phase",
-            gpu.now().as_ns(),
-            &[
-                ("format", format_name(used_format).into()),
-                ("mode_a", numeric.mode_mix.a.into()),
-                ("mode_b", numeric.mode_mix.b.into()),
-                ("mode_c", numeric.mode_mix.c.into()),
-            ],
-        );
-        report.phase_stats.numeric = gpu.stats().since(&num_before);
-        if !numeric.perturbations.is_empty() {
-            // The factors exactly factor the bumped matrix; mirror the
-            // clamp deltas into the preprocessed diagonal so residuals
-            // and solves target the system the factors represent.
-            let mut max_delta = 0.0f64;
-            for &(col, delta) in &numeric.perturbations {
-                add_to_diag(&mut matrix, col, delta);
-                max_delta = max_delta.max(delta.abs());
-            }
-            let action = RecoveryAction::PivotPerturbed {
-                cols: numeric.perturbations.len(),
-                max_delta,
-            };
-            trace_recovery(trace, gpu.now().as_ns(), Phase::Numeric, &action);
-            recovery.record(Phase::Numeric, action);
-        }
-        report.recovery = recovery;
+        let durable_numeric = durable.as_mut().map(|d| DurableNumeric {
+            durable: d,
+            partial: resume_state.as_ref().and_then(|r| r.numeric.clone()),
+            p_row: &p_row,
+            p_col: &p_col,
+        });
+        let numeric = numeric_stage(
+            &mut pass,
+            &spec,
+            &mut matrix,
+            &mut pattern,
+            &levels,
+            durable_numeric,
+        )?;
 
         Ok(LuFactorization {
             lu: numeric.lu,
@@ -1138,7 +1332,7 @@ impl LuFactorization {
             p_row,
             p_col,
             levels,
-            report,
+            report: pass.into_report(),
         })
     }
 

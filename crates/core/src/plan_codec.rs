@@ -26,7 +26,7 @@
 //! every failure is a typed [`GpluError`] — the caller falls back to a
 //! cold factorization, never panics, never serves a questionable plan.
 
-use crate::checkpoint::pattern_fingerprint;
+use crate::checkpoint::{corrupt, expect_drained, format_tag, pattern_fingerprint};
 use crate::error::GpluError;
 use crate::pipeline::{NumericFormat, ResidualGate};
 use crate::refactor::RefactorPlan;
@@ -40,34 +40,6 @@ use gplu_schedule::Levels;
 /// Version of the plan sections' layout. Bumped on any incompatible
 /// change; decoders reject other versions rather than guessing.
 pub const PLAN_SCHEMA_VERSION: u32 = 1;
-
-fn corrupt(msg: String) -> GpluError {
-    GpluError::CheckpointCorrupt(msg)
-}
-
-fn corrupt_ck(e: gplu_checkpoint::CheckpointError) -> GpluError {
-    GpluError::from(e)
-}
-
-fn expect_drained(d: &Dec<'_>, what: &str) -> Result<(), GpluError> {
-    if d.remaining() != 0 {
-        return Err(corrupt(format!(
-            "{what} section has {} trailing byte(s)",
-            d.remaining()
-        )));
-    }
-    Ok(())
-}
-
-fn format_tag(f: NumericFormat) -> u8 {
-    match f {
-        NumericFormat::Dense => 0,
-        NumericFormat::Sparse => 1,
-        NumericFormat::SparseMerge => 2,
-        NumericFormat::SparseBlocked => 3,
-        NumericFormat::Auto => 255,
-    }
-}
 
 fn format_from_tag(t: u8) -> Result<NumericFormat, GpluError> {
     match t {
@@ -152,47 +124,47 @@ pub fn encode_plan(plan: &RefactorPlan) -> Snapshot {
 pub fn decode_plan(snap: &Snapshot, expected_fp: u64) -> Result<RefactorPlan, GpluError> {
     let meta = snap
         .section(section::PLAN_META)
-        .ok_or_else(|| corrupt("plan snapshot lacks PLAN_META section".into()))?;
+        .ok_or_else(|| corrupt("plan snapshot lacks PLAN_META section"))?;
     let mut d = Dec::new(meta);
-    let version = d.u32("plan.schema_version").map_err(corrupt_ck)?;
+    let version = d.u32("plan.schema_version")?;
     if version != PLAN_SCHEMA_VERSION {
         return Err(GpluError::CheckpointMismatch(format!(
             "plan schema version {version} (this build reads {PLAN_SCHEMA_VERSION})"
         )));
     }
-    let pattern_fp = d.u64("plan.pattern_fp").map_err(corrupt_ck)?;
+    let pattern_fp = d.u64("plan.pattern_fp")?;
     if pattern_fp != expected_fp {
         return Err(GpluError::CheckpointMismatch(format!(
             "plan fingerprint {pattern_fp:016x} does not match expected {expected_fp:016x}"
         )));
     }
-    let format = format_from_tag(d.u8("plan.format").map_err(corrupt_ck)?)?;
+    let format = format_from_tag(d.u8("plan.format")?)?;
     expect_drained(&d, "PLAN_META")?;
 
     let body = snap
         .section(section::PLAN_BODY)
-        .ok_or_else(|| corrupt("plan snapshot lacks PLAN_BODY section".into()))?;
+        .ok_or_else(|| corrupt("plan snapshot lacks PLAN_BODY section"))?;
     let mut d = Dec::new(body);
-    let p_row = decode_perm(&mut d).map_err(corrupt_ck)?;
-    let p_col = decode_perm(&mut d).map_err(corrupt_ck)?;
-    let pre = decode_csr(&mut d).map_err(corrupt_ck)?;
-    let lu_pattern = decode_csc(&mut d).map_err(corrupt_ck)?;
-    let level_of = d.vec_u32("plan.level_of").map_err(corrupt_ck)?;
-    let scatter_pre = d.vec_usize("plan.scatter_pre").map_err(corrupt_ck)?;
-    let pre_diag = d.vec_usize("plan.pre_diag").map_err(corrupt_ck)?;
-    let pre_to_csc = d.vec_usize("plan.pre_to_csc").map_err(corrupt_ck)?;
-    let has_block = d.u8("plan.has_block").map_err(corrupt_ck)?;
-    let block_threshold = d.f64("plan.block_threshold").map_err(corrupt_ck)?;
-    let repair_value = d.f64("plan.repair_value").map_err(corrupt_ck)?;
-    let repair_singular = d.u8("plan.repair_singular").map_err(corrupt_ck)? != 0;
-    let ptag = d.u8("plan.pivot_policy").map_err(corrupt_ck)?;
-    let pparam = d.f64("plan.pivot_param").map_err(corrupt_ck)?;
+    let p_row = decode_perm(&mut d)?;
+    let p_col = decode_perm(&mut d)?;
+    let pre = decode_csr(&mut d)?;
+    let lu_pattern = decode_csc(&mut d)?;
+    let level_of = d.vec_u32("plan.level_of")?;
+    let scatter_pre = d.vec_usize("plan.scatter_pre")?;
+    let pre_diag = d.vec_usize("plan.pre_diag")?;
+    let pre_to_csc = d.vec_usize("plan.pre_to_csc")?;
+    let has_block = d.u8("plan.has_block")?;
+    let block_threshold = d.f64("plan.block_threshold")?;
+    let repair_value = d.f64("plan.repair_value")?;
+    let repair_singular = d.u8("plan.repair_singular")? != 0;
+    let ptag = d.u8("plan.pivot_policy")?;
+    let pparam = d.f64("plan.pivot_param")?;
     let pivot_policy = policy_from_tag(ptag, pparam)?;
     let gate = ResidualGate {
-        enabled: d.u8("plan.gate_enabled").map_err(corrupt_ck)? != 0,
-        threshold: d.f64("plan.gate_threshold").map_err(corrupt_ck)?,
-        probes: d.usize("plan.gate_probes").map_err(corrupt_ck)?,
-        escalate: d.u8("plan.gate_escalate").map_err(corrupt_ck)? != 0,
+        enabled: d.u8("plan.gate_enabled")? != 0,
+        threshold: d.f64("plan.gate_threshold")?,
+        probes: d.usize("plan.gate_probes")?,
+        escalate: d.u8("plan.gate_escalate")? != 0,
     };
     expect_drained(&d, "PLAN_BODY")?;
 
@@ -210,7 +182,7 @@ pub fn decode_plan(snap: &Snapshot, expected_fp: u64) -> Result<RefactorPlan, Gp
         )));
     }
     if p_row.len() != n || p_col.len() != n {
-        return Err(corrupt("plan permutations do not match dimension".into()));
+        return Err(corrupt("plan permutations do not match dimension"));
     }
     if level_of.len() != n {
         return Err(corrupt(format!(
@@ -234,10 +206,10 @@ pub fn decode_plan(snap: &Snapshot, expected_fp: u64) -> Result<RefactorPlan, Gp
     let pre_nnz = pre.nnz();
     let lu_nnz = lu_pattern.nnz();
     if scatter_pre.iter().any(|&p| p >= pre_nnz) || pre_diag.iter().any(|&p| p >= pre_nnz) {
-        return Err(corrupt("plan scatter index out of bounds".into()));
+        return Err(corrupt("plan scatter index out of bounds"));
     }
     if pre_to_csc.iter().any(|&p| p >= lu_nnz) {
-        return Err(corrupt("plan pre_to_csc index out of bounds".into()));
+        return Err(corrupt("plan pre_to_csc index out of bounds"));
     }
     // The fingerprint in META must actually describe the *permuted input
     // structure* this plan replays: recompute it from the template the

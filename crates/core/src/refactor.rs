@@ -15,26 +15,22 @@
 //! the merge engine directly on the plan's sorted-CSC artifacts and
 //! tail-launches the captured level schedule device-side (the paper's
 //! Algorithm 5), the specialization real refactorization engines
-//! (cuSOLVER/cuDSS) apply after analysis. Late singular-pivot repair is
-//! replayed exactly as on the cold path.
+//! (cuSOLVER/cuDSS) apply after analysis. After its value scatter and
+//! stale-pivot check, the warm path calls the cold pipeline's own numeric
+//! stage and residual gate, so late singular-pivot repair, format
+//! degradation and perturbation mirroring replay exactly as on the cold
+//! path; it never escalates.
 
 use crate::checkpoint::pattern_fingerprint;
 use crate::error::GpluError;
 use crate::pipeline::{
-    add_to_diag, bump_diag, format_name, ladder_exhausted, trace_recovery, LuFactorization,
-    LuOptions, NumericFormat, ResidualGate,
+    discover, numeric_stage, residual_gate, LuFactorization, LuOptions, NumericFormat, NumericSpec,
+    Pass, ResidualGate,
 };
-use crate::recovery::{Phase, RecoveryAction, RecoveryLog};
-use crate::report::PhaseReport;
-use gplu_numeric::{
-    discover_pivots, factorize_gpu_blocked_run_cached, factorize_gpu_dense_run_cached,
-    factorize_gpu_merge_run_cached, factorize_gpu_sparse_run_cached, BlockPlan, NumericError,
-    PivotCache, PivotPolicy, PivotRule,
-};
+use gplu_numeric::{BlockPlan, PivotCache, PivotPolicy, DEFAULT_BLOCK_THRESHOLD};
 use gplu_schedule::Levels;
-use gplu_sim::{Gpu, SimError, SimTime};
-use gplu_sparse::verify::residual_probe;
-use gplu_sparse::{Csc, Csr, Permutation, SparseError};
+use gplu_sim::{Devices, Gpu, SimTime};
+use gplu_sparse::{Csc, Csr, Permutation};
 use gplu_trace::{TraceSink, NOOP};
 
 /// Everything pattern-only that a repeat factorization can reuse.
@@ -150,8 +146,7 @@ impl RefactorPlan {
                 pattern_fingerprint(a)
             )));
         }
-        let mut report = PhaseReport::default();
-        let mut recovery = RecoveryLog::default();
+        let mut pass = Pass::new(Devices::One(gpu), trace);
 
         // 1. Host value scatter — the only pre-processing the warm path
         // does. Replays permutation and both diagonal-repair rules
@@ -181,6 +176,7 @@ impl RefactorPlan {
                 .cpu_parallel_ns(2 * a.nnz() as u64 + a.n_rows() as u64),
         );
         gpu.advance(scatter_time);
+        let report = &mut pass.report;
         report.preprocess = scatter_time;
         report.repaired_diagonals = repaired;
         report.fill_nnz = self.lu_pattern.nnz();
@@ -197,13 +193,7 @@ impl RefactorPlan {
         // silently factor with the wrong rows on the diagonal — reject
         // with a typed error instead.
         if let PivotPolicy::Threshold { tau } = self.pivot_policy {
-            let disc = discover_pivots(&matrix, tau).map_err(|e| match e {
-                SparseError::ZeroPivot { col } => GpluError::SingularPivot {
-                    col,
-                    level: usize::MAX,
-                },
-                other => GpluError::Sparse(other),
-            })?;
+            let disc = discover(&matrix, tau)?;
             let disc_time = SimTime::from_ns(gpu.cost().pivot_discovery_ns(disc.flops));
             gpu.advance(disc_time);
             report.preprocess += disc_time;
@@ -218,219 +208,56 @@ impl RefactorPlan {
             }
         }
 
-        // 2. Numeric factorization with the plan's PivotCache passed
-        // through so no structural pass repeats. Under `Auto`, the warm
-        // path does NOT replay the cold pipeline's format heuristic: the
-        // plan already holds the merge engine's entire working set (the
-        // sorted filled CSC pattern plus the pivot index), so it runs the
-        // merge engine directly and tail-launches the captured level
-        // schedule device-side (Algorithm 5) — the same specialization
-        // real refactorization engines apply (cuSOLVER/cuDSS refactor
-        // through a fixed path captured at analysis time, skipping the
-        // cold path's per-column dense buffers). All engines apply
-        // bit-identical arithmetic — the formats differ only in access
-        // cost — so the bit-for-bit contract with the cold pipeline is
-        // unaffected. Explicitly forced formats are replayed as forced
-        // (degradation and late pivot repair included).
-        let format_ladder: &[NumericFormat] = match self.format {
-            NumericFormat::Auto => &[NumericFormat::SparseMerge],
-            NumericFormat::Dense => &[NumericFormat::Dense, NumericFormat::SparseMerge],
-            NumericFormat::Sparse => &[NumericFormat::Sparse],
-            NumericFormat::SparseMerge => &[NumericFormat::SparseMerge],
-            NumericFormat::SparseBlocked => {
-                &[NumericFormat::SparseBlocked, NumericFormat::SparseMerge]
-            }
+        // 2. The numeric stage of the cold pipeline, replaying the plan's
+        // PivotCache (so no structural pass repeats and the captured
+        // level schedule tail-launches device-side, Algorithm 5) and its
+        // blocking plan. Under `Auto` the warm path does NOT replay the
+        // cold pipeline's format heuristic: the plan already holds the
+        // merge engine's entire working set (the sorted filled CSC
+        // pattern plus the pivot index), so it runs the merge engine
+        // directly — the same specialization real refactorization
+        // engines apply (cuSOLVER/cuDSS refactor through a fixed path
+        // captured at analysis time, skipping the cold path's per-column
+        // dense buffers). All engines apply bit-identical arithmetic —
+        // the formats differ only in access cost — so the bit-for-bit
+        // contract with the cold pipeline is unaffected. Explicitly
+        // forced formats are replayed as forced (degradation and late
+        // pivot repair included).
+        let spec = NumericSpec {
+            format: self.format,
+            block_threshold: DEFAULT_BLOCK_THRESHOLD,
+            policy: self.pivot_policy,
+            repair: self.repair_singular.then_some(self.repair_value),
+            warm: Some((&self.pivot, self.block_plan.as_ref())),
         };
-        let rule = match self.pivot_policy {
-            PivotPolicy::Static { threshold } => PivotRule::Perturb { threshold },
-            _ => PivotRule::Exact,
-        };
-        let num_before = gpu.stats();
-        trace.span_begin(
-            "phase.numeric",
-            "phase",
-            gpu.now().as_ns(),
-            &[
-                ("format", format_name(self.format).into()),
-                ("refactorize", true.into()),
-            ],
-        );
-        let mut repair_attempted = false;
-        let (numeric, used_format) = 'numeric: loop {
-            let mut last_err: Option<SimError> = None;
-            let mut attempts = 0usize;
-            for (i, &format) in format_ladder.iter().enumerate() {
-                if i > 0 {
-                    gpu.mem.reset();
-                    let action = RecoveryAction::FormatDegraded {
-                        from: format_name(format_ladder[i - 1]).to_string(),
-                        to: format_name(format).to_string(),
-                    };
-                    trace_recovery(trace, gpu.now().as_ns(), Phase::Numeric, &action);
-                    recovery.record(Phase::Numeric, action);
-                }
-                attempts += 1;
-                let run = match format {
-                    NumericFormat::Dense => factorize_gpu_dense_run_cached(
-                        gpu,
-                        &pattern,
-                        &self.levels,
-                        trace,
-                        None,
-                        None,
-                        Some(&self.pivot),
-                        rule,
-                    ),
-                    NumericFormat::Sparse => factorize_gpu_sparse_run_cached(
-                        gpu,
-                        &pattern,
-                        &self.levels,
-                        None,
-                        trace,
-                        None,
-                        None,
-                        Some(&self.pivot),
-                        rule,
-                    ),
-                    NumericFormat::SparseBlocked => factorize_gpu_blocked_run_cached(
-                        gpu,
-                        &pattern,
-                        &self.levels,
-                        self.block_plan
-                            .as_ref()
-                            .expect("SparseBlocked plan captures its blocking pass"),
-                        trace,
-                        None,
-                        None,
-                        Some(&self.pivot),
-                        rule,
-                    ),
-                    NumericFormat::Auto | NumericFormat::SparseMerge => {
-                        factorize_gpu_merge_run_cached(
-                            gpu,
-                            &pattern,
-                            &self.levels,
-                            trace,
-                            None,
-                            None,
-                            Some(&self.pivot),
-                            rule,
-                        )
-                    }
-                };
-                match run {
-                    Ok(out) => break 'numeric (out, format),
-                    Err(NumericError::Sim(e)) => {
-                        if matches!(e, SimError::Crashed { .. }) {
-                            return Err(e.into());
-                        }
-                        last_err = Some(e);
-                    }
-                    Err(NumericError::SingularPivot { col, level }) => {
-                        let value = self.repair_value;
-                        let old = if self.repair_singular && !repair_attempted {
-                            bump_diag(&mut matrix, &mut pattern, col, value)
-                        } else {
-                            None
-                        };
-                        if let Some(old) = old {
-                            repair_attempted = true;
-                            gpu.mem.reset();
-                            let action = RecoveryAction::PivotRepaired {
-                                col,
-                                value,
-                                magnitude: (value - old).abs(),
-                            };
-                            trace_recovery(trace, gpu.now().as_ns(), Phase::Numeric, &action);
-                            recovery.record(Phase::Numeric, action);
-                            report.repaired_diagonals += 1;
-                            continue 'numeric;
-                        }
-                        return Err(GpluError::SingularPivot { col, level });
-                    }
-                    Err(NumericError::Input(msg)) => return Err(GpluError::Input(msg)),
-                }
-            }
-            let last = last_err.unwrap_or(SimError::BadLaunch("no numeric format ran".into()));
-            return Err(ladder_exhausted(Phase::Numeric, attempts, last));
-        };
-        report.numeric = numeric.time;
-        report.mode_mix = (numeric.mode_mix.a, numeric.mode_mix.b, numeric.mode_mix.c);
-        report.m_limit = numeric.m_limit;
-        report.probes = numeric.probes;
-        report.merge_steps = numeric.merge_steps;
-        report.gemm_tiles = numeric.gemm_tiles;
-        trace.span_end(
-            "phase.numeric",
-            "phase",
-            gpu.now().as_ns(),
-            &[
-                ("format", format_name(used_format).into()),
-                ("mode_a", numeric.mode_mix.a.into()),
-                ("mode_b", numeric.mode_mix.b.into()),
-                ("mode_c", numeric.mode_mix.c.into()),
-            ],
-        );
-        report.phase_stats.numeric = gpu.stats().since(&num_before);
-        if !numeric.perturbations.is_empty() {
-            // Mirror engine-level static clamps into the scattered matrix
-            // so the factors exactly factor what residuals are measured
-            // against (same contract as the cold path).
-            let mut max_delta = 0.0f64;
-            for &(col, delta) in &numeric.perturbations {
-                add_to_diag(&mut matrix, col, delta);
-                max_delta = max_delta.max(delta.abs());
-            }
-            let action = RecoveryAction::PivotPerturbed {
-                cols: numeric.perturbations.len(),
-                max_delta,
-            };
-            trace_recovery(trace, gpu.now().as_ns(), Phase::Numeric, &action);
-            recovery.record(Phase::Numeric, action);
-        }
-        report.recovery = recovery;
-
-        let f = LuFactorization {
+        let numeric = numeric_stage(
+            &mut pass,
+            &spec,
+            &mut matrix,
+            &mut pattern,
+            &self.levels,
+            None,
+        )?;
+        let mut f = LuFactorization {
             lu: numeric.lu,
             preprocessed: matrix,
             p_row: self.p_row.clone(),
             p_col: self.p_col.clone(),
             levels: self.levels.clone(),
-            report,
+            report: pass.into_report(),
         };
 
         // 3. Residual acceptance gate — the warm path runs the same gate
         // as the cold pipeline but never escalates: a failing warm
         // factorization is rejected typed (the caller falls back to a
         // cold factorization, which owns the ladder).
-        if self.gate.enabled {
-            let r = residual_probe(&f.preprocessed, &f.lu, self.gate.probes.max(1));
-            let pass = r.is_finite() && r <= self.gate.threshold;
-            if trace.enabled() {
-                trace.instant(
-                    "numeric.residual_gate",
-                    "verify",
-                    gpu.now().as_ns(),
-                    &[
-                        ("residual", r.into()),
-                        ("threshold", self.gate.threshold.into()),
-                        ("pass", pass.into()),
-                        ("refactorize", true.into()),
-                    ],
-                );
+        residual_gate(&mut f, &self.gate, Devices::One(gpu), trace, None).map_err(|residual| {
+            GpluError::NumericallySingular {
+                residual,
+                threshold: self.gate.threshold,
+                attempts: 1,
             }
-            if !pass {
-                return Err(GpluError::NumericallySingular {
-                    residual: r,
-                    threshold: self.gate.threshold,
-                    attempts: 1,
-                });
-            }
-            let mut f = f;
-            f.report.residual = Some(r);
-            return Ok(f);
-        }
-
+        })?;
         Ok(f)
     }
 }
@@ -542,6 +369,7 @@ impl LuFactorization {
 mod tests {
     use super::*;
     use crate::preprocess::PreprocessOptions;
+    use crate::recovery::RecoveryAction;
     use gplu_sim::GpuConfig;
     use gplu_sparse::gen::circuit::{circuit, CircuitParams};
     use gplu_sparse::gen::random::{banded_dominant, random_dominant};

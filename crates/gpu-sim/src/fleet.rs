@@ -14,11 +14,11 @@
 //! * **liveness tracking** ([`DeviceFleet::mark_dead`]) so chaos suites
 //!   can kill one device and callers can reshard onto the survivors.
 //!
-//! Sharded drivers (`gplu-symbolic`'s fleet fill counting, `gplu-numeric`'s
-//! level-partitioned engines) compute values in exactly the same
-//! deterministic host-side code as their single-device counterparts; the
-//! fleet only changes *pricing* — which is what keeps sharded results
-//! bit-identical at every device count.
+//! Drivers never take a fleet directly: they take a [`crate::Devices`]
+//! placement, of which a fleet is one variant and a single [`Gpu`] the
+//! other. Sharded phases compute values in exactly the same deterministic
+//! host-side code at every device count; the fleet only changes
+//! *pricing* — which is what keeps sharded results bit-identical.
 
 use crate::clock::SimTime;
 use crate::config::GpuConfig;
@@ -27,6 +27,7 @@ use crate::fault::FaultPlan;
 use crate::launch::Gpu;
 use crate::stats::GpuStatsSnapshot;
 use parking_lot::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Interconnect accounting accumulated across the fleet's lifetime.
 #[derive(Debug, Default, Clone)]
@@ -88,6 +89,7 @@ impl FleetStats {
 pub struct DeviceFleet {
     devices: Vec<Gpu>,
     dead: Mutex<Vec<bool>>,
+    resharded: AtomicUsize,
     interconnect: Mutex<InterconnectStats>,
 }
 
@@ -132,6 +134,7 @@ impl DeviceFleet {
         DeviceFleet {
             devices,
             dead: Mutex::new(vec![false; n]),
+            resharded: AtomicUsize::new(0),
             interconnect: Mutex::new(InterconnectStats::default()),
         }
     }
@@ -188,6 +191,16 @@ impl DeviceFleet {
     /// decisions upstream.
     pub fn degraded(&self) -> bool {
         self.dead.lock().iter().any(|&d| d)
+    }
+
+    /// Work items moved off retired devices onto the survivors, over the
+    /// fleet's lifetime (see [`crate::Devices::run_sharded`]).
+    pub fn resharded(&self) -> usize {
+        self.resharded.load(Ordering::Relaxed)
+    }
+
+    pub(crate) fn note_resharded(&self, items: usize) {
+        self.resharded.fetch_add(items, Ordering::Relaxed);
     }
 
     /// Prices one point-to-point exchange of `bytes` from device `from`
@@ -285,16 +298,17 @@ impl DeviceFleet {
 /// Trailing ranges are empty when `parts > n_items`.
 pub fn split_even(n_items: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
     let parts = parts.max(1);
+    (0..parts).map(|p| even_chunk(n_items, parts, p)).collect()
+}
+
+/// Range `part` of [`split_even`]`(n_items, parts)`, computed without
+/// building the others.
+pub fn even_chunk(n_items: usize, parts: usize, part: usize) -> std::ops::Range<usize> {
+    let parts = parts.max(1);
     let base = n_items / parts;
     let extra = n_items % parts;
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0;
-    for p in 0..parts {
-        let len = base + usize::from(p < extra);
-        out.push(start..start + len);
-        start += len;
-    }
-    out
+    let start = part * base + part.min(extra);
+    start..start + base + usize::from(part < extra)
 }
 
 #[cfg(test)]

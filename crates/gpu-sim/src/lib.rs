@@ -38,6 +38,7 @@
 pub mod clock;
 pub mod config;
 pub mod cost;
+pub mod devices;
 pub mod error;
 pub mod fault;
 pub mod fleet;
@@ -50,12 +51,15 @@ pub mod unified;
 pub use clock::SimTime;
 pub use config::GpuConfig;
 pub use cost::CostModel;
+pub use devices::{Devices, Shard};
 pub use error::SimError;
 pub use fault::{
     DiskFault, DiskOp, FaultInjector, FaultPlan, LaunchFault, OomFault, SqueezeFault,
     FAULT_PLAN_ENV,
 };
-pub use fleet::{split_even, DeviceFleet, FleetDeviceStats, FleetStats, InterconnectStats};
+pub use fleet::{
+    even_chunk, split_even, DeviceFleet, FleetDeviceStats, FleetStats, InterconnectStats,
+};
 pub use kernel::{BlockCtx, Kernel};
 pub use launch::{Exec, Gpu, KernelReport, LaunchKind};
 pub use memory::{DeviceAlloc, DeviceMemory};

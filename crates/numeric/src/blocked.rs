@@ -27,15 +27,13 @@
 //! merge/sequential engines. Blocking changes only what the simulator
 //! charges for it.
 
-use crate::engine::{run_levels, EngineCounters, LevelRun, NumericEngine};
+use crate::engine::{run_on_gpu, EngineCounters, LevelRun, NumericEngine};
 use crate::error::NumericError;
-use crate::outcome::{
-    process_column_with, AccessDiscipline, NumericOutcome, PivotCache, PivotRule,
-};
-use crate::resume::{LevelHook, NumericResume};
+use crate::outcome::{process_column_with, AccessDiscipline, NumericOutcome, PivotCache};
+use crate::resume::NumericResume;
 use gplu_schedule::Levels;
 use gplu_sim::{BlockCtx, Gpu, SimError};
-use gplu_sparse::Csc;
+use gplu_sparse::{Csc, Idx};
 use gplu_trace::{AttrValue, TraceSink, NOOP};
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::HashSet;
@@ -192,14 +190,14 @@ fn gemm_tiles_of(items: u64) -> u64 {
 
 /// The blocked numeric engine: merge-join arithmetic, BLAS-3 pricing for
 /// supernode-member columns.
-pub(crate) struct BlockedEngine<'p> {
+pub struct BlockedEngine<'p> {
     plan: &'p BlockPlan,
     steps: AtomicU64,
     tiles: AtomicU64,
 }
 
 impl<'p> BlockedEngine<'p> {
-    pub(crate) fn new(plan: &'p BlockPlan) -> BlockedEngine<'p> {
+    pub fn new(plan: &'p BlockPlan) -> BlockedEngine<'p> {
         BlockedEngine {
             plan,
             steps: AtomicU64::new(0),
@@ -276,21 +274,19 @@ impl NumericEngine for BlockedEngine<'_> {
 
     fn level_attrs(
         &self,
-        run: &LevelRun<'_>,
+        cols: &[Idx],
         delta: &EngineCounters,
         attrs: &mut Vec<(&'static str, AttrValue)>,
     ) {
-        let ids: HashSet<u32> = run
-            .cols
+        let ids: HashSet<u32> = cols
             .iter()
             .filter_map(|&j| self.plan.block_id(j as usize))
             .collect();
-        let mean = run
-            .cols
+        let mean = cols
             .iter()
             .map(|&j| self.plan.width_of(j as usize) as f64)
             .sum::<f64>()
-            / run.cols.len().max(1) as f64;
+            / cols.len().max(1) as f64;
         attrs.push(("merge_steps", delta.merge_steps.into()));
         attrs.push(("blocks", ids.len().into()));
         attrs.push(("mean_block_width", mean.into()));
@@ -322,62 +318,7 @@ pub fn factorize_gpu_blocked_traced(
     plan: &BlockPlan,
     trace: &dyn TraceSink,
 ) -> Result<NumericOutcome, NumericError> {
-    factorize_gpu_blocked_run(gpu, pattern, levels, plan, trace, None, None)
-}
-
-/// Full-control entry point: [`factorize_gpu_blocked_traced`] plus optional
-/// level-granular resume state and a per-level checkpoint hook.
-pub fn factorize_gpu_blocked_run(
-    gpu: &Gpu,
-    pattern: &Csc,
-    levels: &Levels,
-    plan: &BlockPlan,
-    trace: &dyn TraceSink,
-    resume: Option<&NumericResume>,
-    hook: Option<&mut LevelHook<'_>>,
-) -> Result<NumericOutcome, NumericError> {
-    factorize_gpu_blocked_run_cached(
-        gpu,
-        pattern,
-        levels,
-        plan,
-        trace,
-        resume,
-        hook,
-        None,
-        PivotRule::Exact,
-    )
-}
-
-/// [`factorize_gpu_blocked_run`] with an optional prebuilt [`PivotCache`].
-/// As with the other sorted-CSC engines, a supplied cache marks the run as
-/// a captured-schedule replay: levels after the kick-off are tail-launched
-/// device-side (Algorithm 5). The [`BlockPlan`] is pattern-only, so warm
-/// refactorizations replay both artifacts without re-scanning.
-#[allow(clippy::too_many_arguments)]
-pub fn factorize_gpu_blocked_run_cached(
-    gpu: &Gpu,
-    pattern: &Csc,
-    levels: &Levels,
-    plan: &BlockPlan,
-    trace: &dyn TraceSink,
-    resume: Option<&NumericResume>,
-    hook: Option<&mut LevelHook<'_>>,
-    pivot: Option<&PivotCache>,
-    rule: PivotRule,
-) -> Result<NumericOutcome, NumericError> {
-    let mut engine = BlockedEngine::new(plan);
-    run_levels(
-        &mut engine,
-        gpu,
-        pattern,
-        levels,
-        trace,
-        resume,
-        hook,
-        pivot,
-        rule,
-    )
+    run_on_gpu(&mut BlockedEngine::new(plan), gpu, pattern, levels, trace)
 }
 
 #[cfg(test)]

@@ -15,28 +15,27 @@
 //! module contributes only the [`DenseEngine`] kernel and its M-capped
 //! batching.
 
-use crate::engine::{run_levels, EngineCounters, LevelRun, NumericEngine};
+use crate::engine::{run_on_gpu, EngineCounters, LevelRun, NumericEngine};
 use crate::error::NumericError;
-use crate::outcome::{
-    process_column_with, AccessDiscipline, NumericOutcome, PivotCache, PivotRule,
-};
-use crate::resume::{LevelHook, NumericResume};
+use crate::outcome::{process_column_with, AccessDiscipline, NumericOutcome};
+use crate::resume::NumericResume;
 use gplu_schedule::Levels;
 use gplu_sim::{BlockCtx, Gpu, SimError};
-use gplu_sparse::Csc;
-use gplu_trace::{AttrValue, TraceSink, NOOP};
+use gplu_sparse::{Csc, Idx};
+use gplu_trace::{AttrValue, NOOP};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The dense-column numeric engine: direct row indexing into `O(n)`
 /// scatter buffers, with concurrency capped at the paper's `M`.
-pub(crate) struct DenseEngine {
+#[derive(Default)]
+pub struct DenseEngine {
     m_limit: usize,
     col_bytes: u64,
     batches: AtomicU64,
 }
 
 impl DenseEngine {
-    pub(crate) fn new() -> DenseEngine {
+    pub fn new() -> DenseEngine {
         DenseEngine {
             m_limit: 0,
             col_bytes: 0,
@@ -145,7 +144,7 @@ impl NumericEngine for DenseEngine {
 
     fn level_attrs(
         &self,
-        _run: &LevelRun<'_>,
+        _cols: &[Idx],
         delta: &EngineCounters,
         attrs: &mut Vec<(&'static str, AttrValue)>,
     ) {
@@ -167,75 +166,7 @@ pub fn factorize_gpu_dense(
     pattern: &Csc,
     levels: &Levels,
 ) -> Result<NumericOutcome, NumericError> {
-    factorize_gpu_dense_traced(gpu, pattern, levels, &NOOP)
-}
-
-/// [`factorize_gpu_dense`] with telemetry: one `numeric.level` span per
-/// schedule level; the end event carries the level's width, its A/B/C mode
-/// classification, and the number of M-capped batches it took.
-pub fn factorize_gpu_dense_traced(
-    gpu: &Gpu,
-    pattern: &Csc,
-    levels: &Levels,
-    trace: &dyn TraceSink,
-) -> Result<NumericOutcome, NumericError> {
-    factorize_gpu_dense_run(gpu, pattern, levels, trace, None, None)
-}
-
-/// Full-control entry point: [`factorize_gpu_dense_traced`] plus optional
-/// level-granular resume state and a per-level checkpoint hook.
-pub fn factorize_gpu_dense_run(
-    gpu: &Gpu,
-    pattern: &Csc,
-    levels: &Levels,
-    trace: &dyn TraceSink,
-    resume: Option<&NumericResume>,
-    hook: Option<&mut LevelHook<'_>>,
-) -> Result<NumericOutcome, NumericError> {
-    factorize_gpu_dense_run_cached(
-        gpu,
-        pattern,
-        levels,
-        trace,
-        resume,
-        hook,
-        None,
-        PivotRule::Exact,
-    )
-}
-
-/// [`factorize_gpu_dense_run`] with an optional prebuilt [`PivotCache`]
-/// (the pattern-keyed refactorization fast path: the cache is pattern-only,
-/// so a service factorizing the same pattern repeatedly builds it once).
-///
-/// Unlike the sorted-CSC engines, the dense format cannot replay a
-/// captured schedule device-side: every M-capped batch allocates and frees
-/// its dense column buffers, which is host work between launches — so even
-/// warm runs keep host launches here. (This is one reason the
-/// refactorization path prefers the merge format.)
-#[allow(clippy::too_many_arguments)]
-pub fn factorize_gpu_dense_run_cached(
-    gpu: &Gpu,
-    pattern: &Csc,
-    levels: &Levels,
-    trace: &dyn TraceSink,
-    resume: Option<&NumericResume>,
-    hook: Option<&mut LevelHook<'_>>,
-    pivot: Option<&PivotCache>,
-    rule: PivotRule,
-) -> Result<NumericOutcome, NumericError> {
-    let mut engine = DenseEngine::new();
-    run_levels(
-        &mut engine,
-        gpu,
-        pattern,
-        levels,
-        trace,
-        resume,
-        hook,
-        pivot,
-        rule,
-    )
+    run_on_gpu(&mut DenseEngine::new(), gpu, pattern, levels, &NOOP)
 }
 
 #[cfg(test)]

@@ -1,4 +1,5 @@
-//! The unified [`NumericEngine`] trait and the shared level-loop driver.
+//! The unified [`NumericEngine`] trait and the one level driver,
+//! [`run_levels`].
 //!
 //! Every GPU numeric engine runs the same scaffolding: stage the CSC
 //! structure and level numbers on the device, seed the value store
@@ -7,10 +8,18 @@
 //! (host-launched cold, tail-launched on captured-schedule replays),
 //! wrap each level in a `numeric.level` trace span, feed the checkpoint
 //! hook after every level barrier, and assemble a [`NumericOutcome`].
-//! That scaffolding used to be copied into `dense.rs`, `sparse.rs` and
-//! `merge.rs` verbatim; it now lives once in [`run_levels`], and each
-//! engine implements only what actually differs — its kernel body, its
-//! counters, and its per-level telemetry attributes.
+//! That scaffolding lives once in [`run_levels`]; each engine implements
+//! only what actually differs — its kernel body, its counters, and its
+//! per-level telemetry attributes.
+//!
+//! Device placement is a parameter of the same driver: it runs on a
+//! [`Devices`] view, either one GPU or every live device of a fleet. Each
+//! level's columns are sharded into contiguous per-device chunks through
+//! [`Devices::run_sharded`] and the level barrier all-gathers the
+//! produced columns; one GPU is the fleet of one, receiving the level's
+//! own column slice with nothing to exchange. A failing device is retired
+//! only while a survivor can take its chunk; the last live device's
+//! failure is the phase error (the death rule of [`gplu_sim::devices`]).
 //!
 //! The sequential reference ([`crate::seq`]) is the host-side
 //! instantiation of the same interface: it runs the identical kernel
@@ -23,8 +32,10 @@ use crate::outcome::{column_cost_estimate_cached, NumericOutcome, PivotCache, Pi
 use crate::resume::{LevelHook, LevelProgress, NumericResume};
 use crate::values::ValueStore;
 use gplu_schedule::Levels;
-use gplu_sim::{Gpu, Kernel, SimError};
-use gplu_sparse::{Csc, SparseError};
+use gplu_sim::{
+    even_chunk, DeviceAlloc, Devices, Gpu, GpuStatsSnapshot, Kernel, SimError, SimTime,
+};
+use gplu_sparse::{Csc, Idx, SparseError};
 use gplu_trace::{AttrValue, TraceSink};
 use parking_lot::Mutex;
 
@@ -72,7 +83,7 @@ pub struct LevelRun<'a> {
     /// Index of the level in the schedule.
     pub level: usize,
     /// The level's columns.
-    pub cols: &'a [gplu_sparse::Idx],
+    pub cols: &'a [Idx],
     /// The level's GLU 3.0 kernel mode.
     pub mode: LevelType,
     /// Threads per block for this mode.
@@ -138,7 +149,7 @@ pub trait NumericEngine: Sync {
 
     /// Classifies one level into a kernel mode. The binary-search
     /// engine's forced-mode ablation overrides this.
-    fn classify(&self, pattern: &Csc, cache: &PivotCache, cols: &[gplu_sparse::Idx]) -> LevelType {
+    fn classify(&self, pattern: &Csc, cache: &PivotCache, cols: &[Idx]) -> LevelType {
         classify_level_cached(pattern, cache, cols)
     }
 
@@ -149,10 +160,11 @@ pub trait NumericEngine: Sync {
     fn counters(&self) -> EngineCounters;
 
     /// Appends engine-specific attributes to the level's span-end event;
-    /// `delta` is this level's counter contribution.
+    /// `cols` are the level's columns and `delta` is their counter
+    /// contribution.
     fn level_attrs(
         &self,
-        run: &LevelRun<'_>,
+        cols: &[Idx],
         delta: &EngineCounters,
         attrs: &mut Vec<(&'static str, AttrValue)>,
     );
@@ -161,8 +173,11 @@ pub trait NumericEngine: Sync {
     fn finish(&self, _out: &mut NumericOutcome) {}
 }
 
-/// Runs `engine` over the level schedule — the scaffolding every GPU
-/// numeric engine shares.
+/// Runs `engine` over the level schedule on `devices` — the one level
+/// driver (module docs). Every live device stages its own copy of the
+/// CSC structure and level numbers; values live in one shared host-side
+/// [`ValueStore`], so the factors are bit-identical for every engine and
+/// device count.
 ///
 /// A supplied `pivot` cache marks the run as a **captured-schedule
 /// replay** (the pattern-keyed refactorization fast path): the host kicks
@@ -170,11 +185,13 @@ pub trait NumericEngine: Sync {
 /// ([`NumericEngine::device_replay`]) — every later level is tail-launched
 /// from the device (the paper's Algorithm 5 dynamic-parallelism
 /// discipline), paying [`gplu_sim::CostModel::device_launch_ns`] instead
-/// of [`gplu_sim::CostModel::host_launch_ns`].
+/// of [`gplu_sim::CostModel::host_launch_ns`]. `resume` continues from a
+/// completed-level watermark and `hook` observes every level barrier
+/// (checkpoint cuts).
 #[allow(clippy::too_many_arguments)]
-pub fn run_levels<E: NumericEngine>(
-    engine: &mut E,
-    gpu: &Gpu,
+pub fn run_levels(
+    engine: &mut dyn NumericEngine,
+    devices: Devices<'_>,
     pattern: &Csc,
     levels: &Levels,
     trace: &dyn TraceSink,
@@ -184,20 +201,31 @@ pub fn run_levels<E: NumericEngine>(
     rule: PivotRule,
 ) -> Result<NumericOutcome, NumericError> {
     let n = pattern.n_cols();
-    let before = gpu.stats();
+    let before: Vec<GpuStatsSnapshot> = (0..devices.len())
+        .map(|d| devices.device(d).stats())
+        .collect();
 
-    // Resident: the CSC structure + values (float) + level numbers.
+    // Resident on every live device: the CSC structure + values (float)
+    // + level numbers. A device that cannot stage retires under the
+    // death rule.
     let csc_bytes = ((n + 1) as u64 + 2 * pattern.nnz() as u64) * 4;
-    let csc_dev = gpu.mem.alloc(csc_bytes)?;
-    gpu.h2d(csc_bytes);
-    let lvl_dev = gpu.mem.alloc(n as u64 * 4)?;
+    let mut arenas: Vec<Option<(DeviceAlloc, DeviceAlloc)>> = vec![None; devices.len()];
+    for d in devices.alive() {
+        match stage(devices.device(d), csc_bytes, n as u64 * 4) {
+            Ok(pair) => arenas[d] = Some(pair),
+            Err(e) if matches!(e, SimError::Crashed { .. }) || !devices.retire(d) => {
+                return Err(e.into())
+            }
+            Err(_) => {}
+        }
+    }
 
     if let Some(r) = resume {
         r.check(pattern.nnz(), levels.groups.len())
             .map_err(NumericError::Input)?;
         engine.seed(r);
     }
-    engine.begin(gpu, pattern)?;
+    engine.begin(devices.lead(), pattern)?;
 
     let start_level = resume.map_or(0, |r| r.start_level);
     let vals = match resume {
@@ -217,6 +245,10 @@ pub fn run_levels<E: NumericEngine>(
     let perturbs: Mutex<Vec<(usize, f64)>> = Mutex::new(Vec::new());
     let replay = pivot.is_some() && engine.device_replay();
     let mut kicked_off = false;
+    // Value bytes each device produced this level (its all-gather share).
+    let mut gather_bytes = vec![0u64; devices.len()];
+    // Span attributes end with the live device count on fleet runs only.
+    let n_attrs = if devices.is_fleet() { 3 } else { 2 };
 
     for (li, cols) in levels.groups.iter().enumerate() {
         if li < start_level {
@@ -230,11 +262,16 @@ pub fn run_levels<E: NumericEngine>(
         }
         let (threads, stripes) = launch_shape(t);
         let counters_before = engine.counters();
+        let begin_attrs = [
+            ("level", li.into()),
+            ("width", cols.len().into()),
+            ("devices", devices.n_alive().into()),
+        ];
         trace.span_begin(
             "numeric.level",
             "level",
-            gpu.now().as_ns(),
-            &[("level", li.into()), ("width", cols.len().into())],
+            devices.now().as_ns(),
+            &begin_attrs[..n_attrs],
         );
         // Hoisted: one structural cost estimate per column, shared by all
         // of its cooperating stripes (type C runs 64 per column).
@@ -242,40 +279,64 @@ pub fn run_levels<E: NumericEngine>(
             .iter()
             .map(|&j| column_cost_estimate_cached(pattern, cache, j as usize).1)
             .collect();
-        let run = LevelRun {
-            gpu,
-            pattern,
-            cache,
-            vals: &vals,
-            error: &error,
-            level: li,
-            cols,
-            mode: t,
-            threads,
-            stripes,
-            items_of: &items_of,
-            rule,
-            perturbs: &perturbs,
-            tail_launch: replay && kicked_off,
-        };
-        let clk0 = trace.enabled().then(|| gpu.clocks());
-        engine.run_level(&run)?;
+        let clk0 = trace.enabled().then(|| clocks(devices));
+        gather_bytes.fill(0);
+        let eng: &dyn NumericEngine = engine;
+        let ran = devices.run_sharded(
+            |slot, k| even_chunk(cols.len(), k, slot),
+            |d, shard| {
+                let chunk_cols = shard.select(cols);
+                let run = LevelRun {
+                    gpu: devices.device(d),
+                    pattern,
+                    cache,
+                    vals: &vals,
+                    error: &error,
+                    level: li,
+                    cols: &chunk_cols,
+                    mode: t,
+                    threads,
+                    stripes,
+                    items_of: &shard.select(&items_of),
+                    rule,
+                    perturbs: &perturbs,
+                    tail_launch: replay && kicked_off,
+                };
+                eng.run_level(&run)?;
+                let nnz: usize = chunk_cols
+                    .iter()
+                    .map(|&j| pattern.col_rows(j as usize).len())
+                    .sum();
+                gather_bytes[d] += nnz as u64 * 8;
+                Ok(())
+            },
+        );
+        // Devices retired during the pass give up their arenas.
+        release(devices, &mut arenas, |d| !devices.is_alive(d))?;
+        ran?;
         kicked_off = true;
+        let clk1 = clk0.map(|c0| (c0, clocks(devices)));
+        // Level barrier: every device enters the next level with the full
+        // value state.
+        devices.all_gather(&gather_bytes);
         if trace.enabled() {
+            let ts = devices.now().as_ns();
             let delta = engine.counters().delta(&counters_before);
             let mut attrs: Vec<(&'static str, AttrValue)> = vec![
                 ("level", li.into()),
                 ("width", cols.len().into()),
                 ("mode", t.letter().into()),
             ];
-            engine.level_attrs(&run, &delta, &mut attrs);
-            trace.span_end("numeric.level", "level", gpu.now().as_ns(), &attrs);
+            if devices.is_fleet() {
+                attrs.push(("devices", devices.n_alive().into()));
+            }
+            engine.level_attrs(cols, &delta, &mut attrs);
+            trace.span_end("numeric.level", "level", ts, &attrs);
             // Predicted-vs-observed sample for the drift profiler: levels
             // that executed BLAS-3 tiles are priced by the GEMM terms of
             // the cost model, everything else by the scalar kernel terms —
             // distinct pricing paths, so they drift independently.
-            if let Some((obs0, pred0)) = clk0 {
-                let (obs1, pred1) = gpu.clocks();
+            if let Some(((obs0, pred0), (obs1, pred1))) = clk1 {
                 if obs1 > obs0 {
                     let kind = if delta.gemm_tiles > 0 {
                         "gemm_tile"
@@ -285,7 +346,7 @@ pub fn run_levels<E: NumericEngine>(
                     trace.instant(
                         "drift.sample",
                         "drift",
-                        obs1,
+                        ts,
                         &[
                             ("kind", kind.into()),
                             ("predicted_ns", AttrValue::F64(pred1 - pred0)),
@@ -313,9 +374,12 @@ pub fn run_levels<E: NumericEngine>(
         }
     }
 
-    gpu.mem.free(lvl_dev)?;
-    gpu.d2h(pattern.nnz() as u64 * 4); // factored values back to host
-    gpu.mem.free(csc_dev)?;
+    // Tear down the arenas; the lead ships the (identical) factored
+    // values back to the host.
+    release(devices, &mut arenas, |_| true)?;
+    let ship = devices.alive().next().unwrap_or(0);
+    devices.device(ship).d2h(pattern.nnz() as u64 * 4);
+    devices.barrier();
 
     let lu = Csc::from_parts_unchecked(
         pattern.n_rows(),
@@ -324,15 +388,23 @@ pub fn run_levels<E: NumericEngine>(
         pattern.row_idx.clone(),
         vals.into_vec(),
     );
-    let stats = gpu.stats().since(&before);
+    let time = devices
+        .alive()
+        .map(|d| devices.device(d).stats().since(&before[d]).now)
+        .fold(SimTime::ZERO, SimTime::max);
+    let stats = devices.device(ship).stats().since(&before[ship]);
     let c = engine.counters();
     // Deterministic artifact: levels run in order, but within a level the
-    // recording order is the launch's block order — sort by column.
+    // recording order is the launch's block order — sort by column. A
+    // chunk that partially ran before its device died records its
+    // perturbations again when a survivor re-runs it; the recomputed
+    // deltas are identical, so dedup by column.
     let mut perturbations = perturbs.into_inner();
     perturbations.sort_unstable_by_key(|&(col, _)| col);
+    perturbations.dedup_by_key(|&mut (col, _)| col);
     let mut out = NumericOutcome {
         lu,
-        time: stats.now,
+        time,
         stats,
         mode_mix: mix,
         m_limit: None,
@@ -344,4 +416,58 @@ pub fn run_levels<E: NumericEngine>(
     };
     engine.finish(&mut out);
     Ok(out)
+}
+
+/// [`run_levels`] on one device, cold and exact: no resume, hook or
+/// captured schedule — the plain `factorize_gpu_*` entry points.
+pub(crate) fn run_on_gpu(
+    engine: &mut dyn NumericEngine,
+    gpu: &Gpu,
+    pattern: &Csc,
+    levels: &Levels,
+    trace: &dyn TraceSink,
+) -> Result<NumericOutcome, NumericError> {
+    let rule = PivotRule::Exact;
+    let devices = Devices::One(gpu);
+    run_levels(
+        engine, devices, pattern, levels, trace, None, None, None, rule,
+    )
+}
+
+/// Stages the CSC structure and the level numbers on one device,
+/// releasing the first allocation when the second does not fit.
+fn stage(
+    gpu: &Gpu,
+    csc_bytes: u64,
+    lvl_bytes: u64,
+) -> Result<(DeviceAlloc, DeviceAlloc), SimError> {
+    let csc_dev = gpu.mem.alloc(csc_bytes)?;
+    gpu.h2d(csc_bytes);
+    let lvl_dev = gpu.mem.alloc(lvl_bytes).inspect_err(|_| {
+        let _ = gpu.mem.free(csc_dev);
+    })?;
+    Ok((csc_dev, lvl_dev))
+}
+
+/// Frees the staged arenas of the devices `which` selects.
+fn release(
+    devices: Devices<'_>,
+    arenas: &mut [Option<(DeviceAlloc, DeviceAlloc)>],
+    which: impl Fn(usize) -> bool,
+) -> Result<(), SimError> {
+    for (d, arena) in arenas.iter_mut().enumerate() {
+        if let Some((csc_dev, lvl_dev)) = arena.take_if(|_| which(d)) {
+            devices.device(d).mem.free(lvl_dev)?;
+            devices.device(d).mem.free(csc_dev)?;
+        }
+    }
+    Ok(())
+}
+
+/// Both clocks summed over every device (see [`Gpu::clocks`]).
+fn clocks(devices: Devices<'_>) -> (f64, f64) {
+    (0..devices.len()).fold((0.0, 0.0), |(obs, pred), d| {
+        let (o, p) = devices.device(d).clocks();
+        (obs + o, pred + p)
+    })
 }

@@ -1,41 +1,21 @@
-//! The fleet numeric driver: level-partitioned factorization across a
-//! [`DeviceFleet`].
-//!
-//! Within one schedule level every column depends only on columns of
-//! *earlier* levels, so a level's columns can be computed anywhere — the
-//! split changes which device pays for which column, never the values.
-//! [`run_levels_fleet`] partitions each level's columns into contiguous
-//! per-device chunks, runs the same [`NumericEngine`] kernels the
-//! single-device driver runs, then prices the **boundary-column
-//! all-gather** at the level barrier (every device must see the level's
-//! updated column values before the next level starts) on the fleet's
-//! NVLink interconnect. Values live in one shared host-side
-//! [`ValueStore`] — the simulator separates functional execution from
-//! pricing — which is what makes fleet results bit-identical to the
-//! single-device run for every engine and device count.
-//!
-//! A device failure (injected OOM or launch fault) marks the device dead
-//! and reshards its chunk onto the survivors; column recomputation is
-//! idempotent, so the retry is safe. Injected crashes stay terminal, as
-//! everywhere else in the pipeline.
-//!
-//! The fleet path is a cold end-to-end run: level-granular resume and
-//! the captured-schedule replay fast path remain single-device features.
+//! Fleet entry points of the numeric phase: [`run_levels`] on a
+//! [`Devices::Fleet`] placement, plus the per-device accounting a fleet
+//! caller reads back. There is no separate fleet driver — see
+//! [`crate::engine`] for the per-level column sharding, the level-barrier
+//! all-gather and the death rule. Fleet runs are cold: checkpoint/resume
+//! and the captured-schedule replay fast path are only wired for
+//! single-device callers.
 
 use crate::blocked::{BlockPlan, BlockedEngine};
 use crate::dense::DenseEngine;
-use crate::engine::{LevelRun, NumericEngine};
+use crate::engine::{run_levels, NumericEngine};
 use crate::error::NumericError;
 use crate::merge::MergeEngine;
-use crate::modes::{launch_shape, ModeMix};
-use crate::outcome::{column_cost_estimate_cached, NumericOutcome, PivotCache, PivotRule};
-use crate::sparse::SparseEngine;
-use crate::values::ValueStore;
+use crate::outcome::{NumericOutcome, PivotRule};
 use gplu_schedule::Levels;
-use gplu_sim::{split_even, DeviceAlloc, DeviceFleet, SimError, SimTime};
-use gplu_sparse::{Csc, Idx, SparseError};
+use gplu_sim::{DeviceFleet, Devices, Gpu, SimTime};
+use gplu_sparse::Csc;
 use gplu_trace::TraceSink;
-use parking_lot::Mutex;
 
 /// Outcome of a fleet numeric run: the ordinary [`NumericOutcome`]
 /// (bit-identical factors, makespan time) plus fleet accounting.
@@ -52,10 +32,7 @@ pub struct FleetNumericOutcome {
     pub resharded_cols: usize,
 }
 
-/// Runs `engine` over the level schedule sharded across the live devices
-/// of `fleet`. See the module docs for the partitioning and exchange
-/// discipline.
-pub fn run_levels_fleet<E: NumericEngine>(
+fn run_fleet<E: NumericEngine>(
     engine: &mut E,
     fleet: &DeviceFleet,
     pattern: &Csc,
@@ -63,235 +40,32 @@ pub fn run_levels_fleet<E: NumericEngine>(
     trace: &dyn TraceSink,
     rule: PivotRule,
 ) -> Result<FleetNumericOutcome, NumericError> {
-    let n = pattern.n_cols();
-    let before: Vec<_> = fleet.devices().iter().map(|g| g.stats()).collect();
-    let mut died: Vec<usize> = Vec::new();
-    let mut resharded_cols = 0usize;
-
-    // Stage the CSC structure + values + level numbers on every live
-    // device (each holds a full copy, the GSoFa layout the symbolic
-    // fleet also uses). A device that cannot even stage is dead on
-    // arrival for this phase.
-    let csc_bytes = ((n + 1) as u64 + 2 * pattern.nnz() as u64) * 4;
-    let mut arenas: Vec<Option<(DeviceAlloc, DeviceAlloc)>> = Vec::new();
-    for d in 0..fleet.len() {
-        arenas.push(None);
-        if fleet.is_dead(d) {
-            continue;
-        }
-        let gpu = fleet.device(d);
-        let staged = gpu.mem.alloc(csc_bytes).and_then(|csc_dev| {
-            gpu.h2d(csc_bytes);
-            match gpu.mem.alloc(n as u64 * 4) {
-                Ok(lvl_dev) => Ok((csc_dev, lvl_dev)),
-                Err(e) => {
-                    let _ = gpu.mem.free(csc_dev);
-                    Err(e)
-                }
-            }
-        });
-        match staged {
-            Ok(pair) => arenas[d] = Some(pair),
-            Err(e @ SimError::Crashed { .. }) => return Err(e.into()),
-            Err(_) => {
-                fleet.mark_dead(d);
-                died.push(d);
-            }
-        }
-    }
-    let alive = fleet.alive();
-    let Some(&lead) = alive.first() else {
-        return Err(NumericError::Sim(SimError::BadLaunch(
-            "no live devices in fleet".into(),
-        )));
-    };
-    engine.begin(fleet.device(lead), pattern)?;
-
-    let vals = ValueStore::new(&pattern.vals);
-    let cache = PivotCache::build(pattern);
-    let mut mix = ModeMix::default();
-    let error: Mutex<Option<SparseError>> = Mutex::new(None);
-    let perturbs: Mutex<Vec<(usize, f64)>> = Mutex::new(Vec::new());
-
-    for (li, cols) in levels.groups.iter().enumerate() {
-        let t = engine.classify(pattern, &cache, cols);
-        match t {
-            crate::modes::LevelType::A => mix.a += 1,
-            crate::modes::LevelType::B => mix.b += 1,
-            crate::modes::LevelType::C => mix.c += 1,
-        }
-        let (threads, stripes) = launch_shape(t);
-        trace.span_begin(
-            "numeric.level",
-            "level",
-            fleet.makespan().as_ns(),
-            &[
-                ("level", li.into()),
-                ("width", cols.len().into()),
-                ("devices", fleet.n_alive().into()),
-            ],
-        );
-        let items_of: Vec<u64> = cols
-            .iter()
-            .map(|&j| column_cost_estimate_cached(pattern, &cache, j as usize).1)
-            .collect();
-
-        // Contiguous per-device column chunks; `gather_bytes[d]` collects
-        // the value bytes device d actually produced this level (reshards
-        // shift bytes to the survivors that did the work).
-        let mut gather_bytes = vec![0u64; fleet.len()];
-        let owners = fleet.alive();
-        let mut pending: Vec<(usize, Vec<usize>)> = {
-            let ranges = split_even(cols.len(), owners.len());
-            owners
-                .iter()
-                .zip(ranges)
-                .map(|(&d, r)| (d, r.collect::<Vec<usize>>()))
-                .collect()
-        };
-        let mut last_err: Option<SimError> = None;
-        while !pending.is_empty() {
-            let mut failed_idx: Vec<usize> = Vec::new();
-            for (d, idx) in pending.drain(..) {
-                if idx.is_empty() {
-                    continue;
-                }
-                let gpu = fleet.device(d);
-                let chunk_cols: Vec<Idx> = idx.iter().map(|&i| cols[i]).collect();
-                let chunk_items: Vec<u64> = idx.iter().map(|&i| items_of[i]).collect();
-                let run = LevelRun {
-                    gpu,
-                    pattern,
-                    cache: &cache,
-                    vals: &vals,
-                    error: &error,
-                    level: li,
-                    cols: &chunk_cols,
-                    mode: t,
-                    threads,
-                    stripes,
-                    items_of: &chunk_items,
-                    rule,
-                    perturbs: &perturbs,
-                    tail_launch: false,
-                };
-                match engine.run_level(&run) {
-                    Ok(()) => {
-                        gather_bytes[d] += chunk_cols
-                            .iter()
-                            .map(|&j| {
-                                let j = j as usize;
-                                (pattern.col_ptr[j + 1] - pattern.col_ptr[j]) as u64 * 8
-                            })
-                            .sum::<u64>();
-                    }
-                    Err(e @ SimError::Crashed { .. }) => return Err(e.into()),
-                    Err(e) => {
-                        if let Some((csc_dev, lvl_dev)) = arenas[d].take() {
-                            let _ = fleet.device(d).mem.free(lvl_dev);
-                            let _ = fleet.device(d).mem.free(csc_dev);
-                        }
-                        fleet.mark_dead(d);
-                        died.push(d);
-                        failed_idx.extend(idx);
-                        last_err = Some(e);
-                    }
-                }
-            }
-            if failed_idx.is_empty() {
-                break;
-            }
-            let survivors = fleet.alive();
-            if survivors.is_empty() {
-                return Err(NumericError::Sim(last_err.unwrap_or(SimError::BadLaunch(
-                    "every fleet device died during numeric".into(),
-                ))));
-            }
-            resharded_cols += failed_idx.len();
-            let mut shards: Vec<(usize, Vec<usize>)> =
-                survivors.iter().map(|&d| (d, Vec::new())).collect();
-            for (i, ci) in failed_idx.into_iter().enumerate() {
-                shards[i % survivors.len()].1.push(ci);
-            }
-            pending = shards;
-        }
-
-        // Level barrier: all-gather the level's updated columns so every
-        // device enters the next level with the full value state.
-        fleet.all_gather(&gather_bytes);
-        trace.span_end(
-            "numeric.level",
-            "level",
-            fleet.makespan().as_ns(),
-            &[
-                ("level", li.into()),
-                ("width", cols.len().into()),
-                ("mode", t.letter().into()),
-                ("devices", fleet.n_alive().into()),
-            ],
-        );
-        if let Some(e) = error.lock().take() {
-            return Err(NumericError::from_sparse_at_level(e, li));
-        }
-    }
-
-    // Tear down the arenas; one device ships the (identical) factored
-    // values back to the host.
-    for (d, arena) in arenas.iter_mut().enumerate() {
-        if let Some((csc_dev, lvl_dev)) = arena.take() {
-            let gpu = fleet.device(d);
-            gpu.mem.free(lvl_dev)?;
-            gpu.mem.free(csc_dev)?;
-        }
-    }
-    let ship = fleet.alive().first().copied().unwrap_or(lead);
-    fleet.device(ship).d2h(pattern.nnz() as u64 * 4);
-    fleet.barrier();
-
-    let lu = Csc::from_parts_unchecked(
-        pattern.n_rows(),
-        n,
-        pattern.col_ptr.clone(),
-        pattern.row_idx.clone(),
-        vals.into_vec(),
-    );
-    let per_device: Vec<SimTime> = fleet
-        .devices()
-        .iter()
-        .zip(&before)
-        .map(|(g, b)| g.stats().since(b).now)
-        .collect();
-    let makespan = fleet
-        .alive()
-        .iter()
-        .map(|&d| per_device[d])
-        .fold(SimTime::ZERO, SimTime::max);
-    let stats = fleet.device(ship).stats().since(&before[ship]);
-    let c = engine.counters();
-    let mut perturbations = perturbs.into_inner();
-    perturbations.sort_unstable_by_key(|&(col, _)| col);
-    // A chunk that partially ran before its device died records its
-    // perturbations twice when the survivor re-runs it; the recomputed
-    // deltas are identical, so dedup by column.
-    perturbations.dedup_by_key(|&mut (col, _)| col);
-    let mut out = NumericOutcome {
-        lu,
-        time: makespan,
-        stats,
-        mode_mix: mix,
-        m_limit: None,
-        batches: c.batches,
-        probes: c.probes,
-        merge_steps: c.merge_steps,
-        gemm_tiles: c.gemm_tiles,
-        perturbations,
-    };
-    engine.finish(&mut out);
+    let before: Vec<_> = fleet.devices().iter().map(Gpu::stats).collect();
+    let was_dead: Vec<bool> = (0..fleet.len()).map(|d| fleet.is_dead(d)).collect();
+    let resharded = fleet.resharded();
+    let outcome = run_levels(
+        engine,
+        Devices::Fleet(fleet),
+        pattern,
+        levels,
+        trace,
+        None,
+        None,
+        None,
+        rule,
+    )?;
     Ok(FleetNumericOutcome {
-        outcome: out,
-        per_device,
-        died,
-        resharded_cols,
+        outcome,
+        per_device: fleet
+            .devices()
+            .iter()
+            .zip(&before)
+            .map(|(g, b)| g.stats().since(b).now)
+            .collect(),
+        died: (0..fleet.len())
+            .filter(|&d| fleet.is_dead(d) && !was_dead[d])
+            .collect(),
+        resharded_cols: fleet.resharded() - resharded,
     })
 }
 
@@ -303,20 +77,7 @@ pub fn factorize_fleet_merge(
     trace: &dyn TraceSink,
     rule: PivotRule,
 ) -> Result<FleetNumericOutcome, NumericError> {
-    let mut engine = MergeEngine::new();
-    run_levels_fleet(&mut engine, fleet, pattern, levels, trace, rule)
-}
-
-/// Binary-search engine across a fleet.
-pub fn factorize_fleet_sparse(
-    fleet: &DeviceFleet,
-    pattern: &Csc,
-    levels: &Levels,
-    trace: &dyn TraceSink,
-    rule: PivotRule,
-) -> Result<FleetNumericOutcome, NumericError> {
-    let mut engine = SparseEngine::new(None);
-    run_levels_fleet(&mut engine, fleet, pattern, levels, trace, rule)
+    run_fleet(&mut MergeEngine::new(), fleet, pattern, levels, trace, rule)
 }
 
 /// Dense-column engine across a fleet.
@@ -327,8 +88,7 @@ pub fn factorize_fleet_dense(
     trace: &dyn TraceSink,
     rule: PivotRule,
 ) -> Result<FleetNumericOutcome, NumericError> {
-    let mut engine = DenseEngine::new();
-    run_levels_fleet(&mut engine, fleet, pattern, levels, trace, rule)
+    run_fleet(&mut DenseEngine::new(), fleet, pattern, levels, trace, rule)
 }
 
 /// Supernode-blocked engine across a fleet.
@@ -340,18 +100,26 @@ pub fn factorize_fleet_blocked(
     trace: &dyn TraceSink,
     rule: PivotRule,
 ) -> Result<FleetNumericOutcome, NumericError> {
-    let mut engine = BlockedEngine::new(plan);
-    run_levels_fleet(&mut engine, fleet, pattern, levels, trace, rule)
+    run_fleet(
+        &mut BlockedEngine::new(plan),
+        fleet,
+        pattern,
+        levels,
+        trace,
+        rule,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::merge::factorize_gpu_merge;
+    use crate::outcome::PivotCache;
+    use crate::sparse::SparseEngine;
     use gplu_schedule::{levelize_cpu, DepGraph};
-    use gplu_sim::{CostModel, Gpu, GpuConfig};
+    use gplu_sim::{CostModel, GpuConfig};
     use gplu_sparse::convert::csr_to_csc;
-    use gplu_sparse::gen::random::banded_dominant;
+    use gplu_sparse::gen::random::{banded_dominant, random_dominant};
     use gplu_symbolic::symbolic_cpu;
     use gplu_trace::NOOP;
 
@@ -380,70 +148,125 @@ mod tests {
         (csr_to_csc(&sym.result.filled), levels)
     }
 
-    fn fleet(_pattern: &Csc, k: usize) -> DeviceFleet {
-        DeviceFleet::new(k, GpuConfig::v100())
+    /// Runs engine `kind` (dense, merge, sparse, blocked) through the one
+    /// level driver on `devices`.
+    fn factorize(
+        kind: usize,
+        devices: Devices<'_>,
+        pattern: &Csc,
+        levels: &Levels,
+        plan: &BlockPlan,
+    ) -> NumericOutcome {
+        let (trace, rule) = (&NOOP, PivotRule::Exact);
+        match kind {
+            0 => run_levels(
+                &mut DenseEngine::new(),
+                devices,
+                pattern,
+                levels,
+                trace,
+                None,
+                None,
+                None,
+                rule,
+            ),
+            1 => run_levels(
+                &mut MergeEngine::new(),
+                devices,
+                pattern,
+                levels,
+                trace,
+                None,
+                None,
+                None,
+                rule,
+            ),
+            2 => run_levels(
+                &mut SparseEngine::new(None),
+                devices,
+                pattern,
+                levels,
+                trace,
+                None,
+                None,
+                None,
+                rule,
+            ),
+            _ => run_levels(
+                &mut BlockedEngine::new(plan),
+                devices,
+                pattern,
+                levels,
+                trace,
+                None,
+                None,
+                None,
+                rule,
+            ),
+        }
+        .expect("factorizes")
+    }
+
+    fn bits(out: &NumericOutcome) -> Vec<u64> {
+        out.lu.vals.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn a_gpu_prices_exactly_like_a_fleet_of_one() {
+        for seed in [3, 7, 11] {
+            let a = random_dominant(400, 4.0, seed);
+            let sym = symbolic_cpu(&a, &CostModel::default());
+            let levels =
+                levelize_cpu(&DepGraph::build(&sym.result.filled), &CostModel::default()).levels;
+            let pattern = csr_to_csc(&sym.result.filled);
+            let plan = BlockPlan::detect(&pattern, &PivotCache::build(&pattern), 0.5);
+            for kind in 0..4 {
+                let gpu = Gpu::new(GpuConfig::v100());
+                let fleet = DeviceFleet::new(1, GpuConfig::v100());
+                let one = factorize(kind, Devices::One(&gpu), &pattern, &levels, &plan);
+                let of_one = factorize(kind, Devices::Fleet(&fleet), &pattern, &levels, &plan);
+                let label = format!("engine {kind} seed {seed}");
+                assert_eq!(one.time, of_one.time, "{label}: simulated time");
+                assert_eq!(one.stats, of_one.stats, "{label}: stats delta");
+                assert_eq!(
+                    gpu.stats(),
+                    fleet.device(0).stats(),
+                    "{label}: device stats"
+                );
+                assert_eq!(one.mode_mix, of_one.mode_mix, "{label}: mode mix");
+                assert_eq!(
+                    (one.probes, one.merge_steps, one.batches, one.gemm_tiles),
+                    (
+                        of_one.probes,
+                        of_one.merge_steps,
+                        of_one.batches,
+                        of_one.gemm_tiles
+                    ),
+                    "{label}: counters"
+                );
+                assert_eq!(one.m_limit, of_one.m_limit, "{label}: dense M");
+                assert_eq!(bits(&one), bits(&of_one), "{label}: value bits");
+                assert_eq!(fleet.stats().interconnect.exchanges, 0);
+            }
+        }
     }
 
     #[test]
     fn fleet_matches_single_device_bits_for_every_engine_and_count() {
         let (pattern, levels) = setup(10, 50, 4, 71);
-        let single_gpu = Gpu::new(GpuConfig::v100());
-        let single = factorize_gpu_merge(&single_gpu, &pattern, &levels).expect("single");
         let plan = BlockPlan::detect(&pattern, &PivotCache::build(&pattern), 0.5);
+        let single_gpu = Gpu::new(GpuConfig::v100());
+        let single = factorize(1, Devices::One(&single_gpu), &pattern, &levels, &plan);
         for k in [1, 2, 4, 8] {
-            let runs: Vec<(&str, FleetNumericOutcome)> = vec![
-                (
-                    "merge",
-                    factorize_fleet_merge(
-                        &fleet(&pattern, k),
-                        &pattern,
-                        &levels,
-                        &NOOP,
-                        PivotRule::Exact,
-                    )
-                    .expect("merge"),
-                ),
-                (
-                    "sparse",
-                    factorize_fleet_sparse(
-                        &fleet(&pattern, k),
-                        &pattern,
-                        &levels,
-                        &NOOP,
-                        PivotRule::Exact,
-                    )
-                    .expect("sparse"),
-                ),
-                (
-                    "dense",
-                    factorize_fleet_dense(
-                        &fleet(&pattern, k),
-                        &pattern,
-                        &levels,
-                        &NOOP,
-                        PivotRule::Exact,
-                    )
-                    .expect("dense"),
-                ),
-                (
-                    "blocked",
-                    factorize_fleet_blocked(
-                        &fleet(&pattern, k),
-                        &pattern,
-                        &levels,
-                        &plan,
-                        &NOOP,
-                        PivotRule::Exact,
-                    )
-                    .expect("blocked"),
-                ),
-            ];
-            for (name, out) in runs {
+            for kind in 0..4 {
+                let fleet = DeviceFleet::new(k, GpuConfig::v100());
+                let out = factorize(kind, Devices::Fleet(&fleet), &pattern, &levels, &plan);
                 assert_eq!(
-                    single.lu.vals, out.outcome.lu.vals,
-                    "{name} k={k} must be bit-identical"
+                    bits(&single),
+                    bits(&out),
+                    "engine {kind} k={k} must be bit-identical"
                 );
-                assert!(out.died.is_empty());
+                assert_eq!(fleet.n_alive(), k);
             }
         }
     }

@@ -42,9 +42,11 @@
 //!
 //! The engines themselves implement one interface: the
 //! [`engine::NumericEngine`] trait owns only the per-level kernel and its
-//! counters, while [`engine::run_levels`] owns the level-loop scaffolding
-//! they all share (device staging, level classification, launch/tail-launch
-//! accounting, trace spans, resume cuts, checkpoint hooks). The sequential
+//! counters, while [`engine::run_levels`] is the one level driver they
+//! all share (device staging, level classification, launch/tail-launch
+//! accounting, trace spans, resume cuts, checkpoint hooks, and the
+//! per-level column sharding and all-gather of a fleet placement — one
+//! GPU is the fleet of one, see [`gplu_sim::Devices`]). The sequential
 //! reference ([`seq`]) is the host-side instantiation of the same kernel
 //! core, which is why all five agree bit-for-bit.
 //!
@@ -71,32 +73,22 @@ pub mod trisolve;
 pub mod values;
 
 pub use blocked::{
-    factorize_gpu_blocked, factorize_gpu_blocked_run, factorize_gpu_blocked_run_cached,
-    factorize_gpu_blocked_traced, BlockPlan, DEFAULT_BLOCK_THRESHOLD, TILE_WIDTH,
+    factorize_gpu_blocked, factorize_gpu_blocked_traced, BlockPlan, BlockedEngine,
+    DEFAULT_BLOCK_THRESHOLD, TILE_WIDTH,
 };
-pub use dense::{
-    factorize_gpu_dense, factorize_gpu_dense_run, factorize_gpu_dense_run_cached,
-    factorize_gpu_dense_traced,
-};
+pub use dense::{factorize_gpu_dense, DenseEngine};
 pub use engine::{run_levels, EngineCounters, LevelRun, NumericEngine};
 pub use error::NumericError;
 pub use fleet::{
-    factorize_fleet_blocked, factorize_fleet_dense, factorize_fleet_merge, factorize_fleet_sparse,
-    run_levels_fleet, FleetNumericOutcome,
+    factorize_fleet_blocked, factorize_fleet_dense, factorize_fleet_merge, FleetNumericOutcome,
 };
-pub use merge::{
-    factorize_gpu_merge, factorize_gpu_merge_run, factorize_gpu_merge_run_cached,
-    factorize_gpu_merge_traced,
-};
+pub use merge::{factorize_gpu_merge, MergeEngine};
 pub use modes::{classify_level, classify_level_cached, classify_schedule, LevelType, ModeMix};
 pub use outcome::{AccessDiscipline, NumericOutcome, PivotCache, PivotRule};
 pub use pivoting::{discover_pivots, PivotDiscovery, PivotPolicy, DEFAULT_PIVOT_TAU};
 pub use resume::{LevelHook, LevelProgress, NumericResume};
 pub use seq::{factorize_seq, factorize_seq_rule};
-pub use sparse::{
-    factorize_gpu_sparse, factorize_gpu_sparse_forced, factorize_gpu_sparse_run,
-    factorize_gpu_sparse_run_cached, factorize_gpu_sparse_traced,
-};
+pub use sparse::{factorize_gpu_sparse, factorize_gpu_sparse_forced, SparseEngine};
 pub use trisolve::{
     solve_gpu, solve_gpu_batch, solve_gpu_batch_traced, solve_gpu_traced, BatchSolveOutcome,
     TriSolveOutcome, TriSolvePlan,

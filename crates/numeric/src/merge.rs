@@ -19,26 +19,25 @@
 //! The level-loop scaffolding lives in [`crate::engine::run_levels`]; this
 //! module contributes only the [`MergeEngine`] kernel.
 
-use crate::engine::{run_levels, EngineCounters, LevelRun, NumericEngine};
+use crate::engine::{run_on_gpu, EngineCounters, LevelRun, NumericEngine};
 use crate::error::NumericError;
-use crate::outcome::{
-    process_column_with, AccessDiscipline, NumericOutcome, PivotCache, PivotRule,
-};
-use crate::resume::{LevelHook, NumericResume};
+use crate::outcome::{process_column_with, AccessDiscipline, NumericOutcome};
+use crate::resume::NumericResume;
 use gplu_schedule::Levels;
 use gplu_sim::{BlockCtx, Gpu, SimError};
-use gplu_sparse::Csc;
-use gplu_trace::{AttrValue, TraceSink, NOOP};
+use gplu_sparse::{Csc, Idx};
+use gplu_trace::{AttrValue, NOOP};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The merge-join numeric engine: streaming two-pointer update location,
 /// priced as the pure item stream.
-pub(crate) struct MergeEngine {
+#[derive(Default)]
+pub struct MergeEngine {
     steps: AtomicU64,
 }
 
 impl MergeEngine {
-    pub(crate) fn new() -> MergeEngine {
+    pub fn new() -> MergeEngine {
         MergeEngine {
             steps: AtomicU64::new(0),
         }
@@ -100,7 +99,7 @@ impl NumericEngine for MergeEngine {
 
     fn level_attrs(
         &self,
-        _run: &LevelRun<'_>,
+        _cols: &[Idx],
         delta: &EngineCounters,
         attrs: &mut Vec<(&'static str, AttrValue)>,
     ) {
@@ -114,78 +113,7 @@ pub fn factorize_gpu_merge(
     pattern: &Csc,
     levels: &Levels,
 ) -> Result<NumericOutcome, NumericError> {
-    factorize_gpu_merge_traced(gpu, pattern, levels, &NOOP)
-}
-
-/// [`factorize_gpu_merge`] with telemetry: one `numeric.level` span per
-/// schedule level; the end event carries the level's width, its A/B/C
-/// mode, and the merge-cursor steps the level contributed.
-pub fn factorize_gpu_merge_traced(
-    gpu: &Gpu,
-    pattern: &Csc,
-    levels: &Levels,
-    trace: &dyn TraceSink,
-) -> Result<NumericOutcome, NumericError> {
-    factorize_gpu_merge_run(gpu, pattern, levels, trace, None, None)
-}
-
-/// Full-control entry point: [`factorize_gpu_merge_traced`] plus optional
-/// level-granular resume state and a per-level checkpoint hook.
-pub fn factorize_gpu_merge_run(
-    gpu: &Gpu,
-    pattern: &Csc,
-    levels: &Levels,
-    trace: &dyn TraceSink,
-    resume: Option<&NumericResume>,
-    hook: Option<&mut LevelHook<'_>>,
-) -> Result<NumericOutcome, NumericError> {
-    factorize_gpu_merge_run_cached(
-        gpu,
-        pattern,
-        levels,
-        trace,
-        resume,
-        hook,
-        None,
-        PivotRule::Exact,
-    )
-}
-
-/// [`factorize_gpu_merge_run`] with an optional prebuilt [`PivotCache`]
-/// (the pattern-keyed refactorization fast path: the cache is pattern-only,
-/// so a service factorizing the same pattern repeatedly builds it once).
-///
-/// A supplied cache also marks the run as a **captured-schedule replay**:
-/// the level sequence was already executed once, so the host does not need
-/// to orchestrate it level by level. The first executed level is
-/// host-launched as the kick-off; every later level is tail-launched from
-/// the device (the paper's Algorithm 5 dynamic-parallelism discipline),
-/// paying [`gplu_sim::CostModel::device_launch_ns`] instead of
-/// [`gplu_sim::CostModel::host_launch_ns`] — on deep, narrow schedules the
-/// host launch overhead *is* the numeric phase, and this removes it.
-#[allow(clippy::too_many_arguments)]
-pub fn factorize_gpu_merge_run_cached(
-    gpu: &Gpu,
-    pattern: &Csc,
-    levels: &Levels,
-    trace: &dyn TraceSink,
-    resume: Option<&NumericResume>,
-    hook: Option<&mut LevelHook<'_>>,
-    pivot: Option<&PivotCache>,
-    rule: PivotRule,
-) -> Result<NumericOutcome, NumericError> {
-    let mut engine = MergeEngine::new();
-    run_levels(
-        &mut engine,
-        gpu,
-        pattern,
-        levels,
-        trace,
-        resume,
-        hook,
-        pivot,
-        rule,
-    )
+    run_on_gpu(&mut MergeEngine::new(), gpu, pattern, levels, &NOOP)
 }
 
 #[cfg(test)]

@@ -13,17 +13,15 @@
 //! module contributes only the [`SparseEngine`] kernel and the forced-mode
 //! ablation knob.
 
-use crate::engine::{run_levels, EngineCounters, LevelRun, NumericEngine};
+use crate::engine::{run_on_gpu, EngineCounters, LevelRun, NumericEngine};
 use crate::error::NumericError;
 use crate::modes::{classify_level_cached, LevelType};
-use crate::outcome::{
-    process_column_with, AccessDiscipline, NumericOutcome, PivotCache, PivotRule,
-};
-use crate::resume::{LevelHook, NumericResume};
+use crate::outcome::{process_column_with, AccessDiscipline, NumericOutcome, PivotCache};
+use crate::resume::NumericResume;
 use gplu_schedule::Levels;
 use gplu_sim::{BlockCtx, Gpu, SimError};
-use gplu_sparse::Csc;
-use gplu_trace::{AttrValue, TraceSink, NOOP};
+use gplu_sparse::{Csc, Idx};
+use gplu_trace::{AttrValue, NOOP};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Fraction of a full work-item each binary-search probe costs (probes hit
@@ -35,13 +33,13 @@ pub const PROBE_WEIGHT: f64 = 0.12;
 
 /// The binary-search numeric engine (Algorithm 6), with GLU 3.0's
 /// forced-mode ablation knob.
-pub(crate) struct SparseEngine {
+pub struct SparseEngine {
     force: Option<LevelType>,
     probes: AtomicU64,
 }
 
 impl SparseEngine {
-    pub(crate) fn new(force: Option<LevelType>) -> SparseEngine {
+    pub fn new(force: Option<LevelType>) -> SparseEngine {
         SparseEngine {
             force,
             probes: AtomicU64::new(0),
@@ -110,7 +108,7 @@ impl NumericEngine for SparseEngine {
 
     fn level_attrs(
         &self,
-        _run: &LevelRun<'_>,
+        _cols: &[Idx],
         delta: &EngineCounters,
         attrs: &mut Vec<(&'static str, AttrValue)>,
     ) {
@@ -136,79 +134,7 @@ pub fn factorize_gpu_sparse_forced(
     levels: &Levels,
     force: Option<LevelType>,
 ) -> Result<NumericOutcome, NumericError> {
-    factorize_gpu_sparse_traced(gpu, pattern, levels, force, &NOOP)
-}
-
-/// [`factorize_gpu_sparse_forced`] with telemetry: one `numeric.level` span
-/// per schedule level; the end event carries the level's width, its A/B/C
-/// mode, and the binary-search probe count the level contributed.
-pub fn factorize_gpu_sparse_traced(
-    gpu: &Gpu,
-    pattern: &Csc,
-    levels: &Levels,
-    force: Option<LevelType>,
-    trace: &dyn TraceSink,
-) -> Result<NumericOutcome, NumericError> {
-    factorize_gpu_sparse_run(gpu, pattern, levels, force, trace, None, None)
-}
-
-/// Full-control entry point: [`factorize_gpu_sparse_traced`] plus optional
-/// level-granular resume state and a per-level checkpoint hook.
-#[allow(clippy::too_many_arguments)]
-pub fn factorize_gpu_sparse_run(
-    gpu: &Gpu,
-    pattern: &Csc,
-    levels: &Levels,
-    force: Option<LevelType>,
-    trace: &dyn TraceSink,
-    resume: Option<&NumericResume>,
-    hook: Option<&mut LevelHook<'_>>,
-) -> Result<NumericOutcome, NumericError> {
-    factorize_gpu_sparse_run_cached(
-        gpu,
-        pattern,
-        levels,
-        force,
-        trace,
-        resume,
-        hook,
-        None,
-        PivotRule::Exact,
-    )
-}
-
-/// [`factorize_gpu_sparse_run`] with an optional prebuilt [`PivotCache`]
-/// (the pattern-keyed refactorization fast path: the cache is pattern-only,
-/// so a service factorizing the same pattern repeatedly builds it once).
-///
-/// A supplied cache also marks the run as a captured-schedule replay:
-/// levels after the host-launched kick-off are tail-launched device-side
-/// (Algorithm 5), exactly as in
-/// [`crate::merge::factorize_gpu_merge_run_cached`].
-#[allow(clippy::too_many_arguments)]
-pub fn factorize_gpu_sparse_run_cached(
-    gpu: &Gpu,
-    pattern: &Csc,
-    levels: &Levels,
-    force: Option<LevelType>,
-    trace: &dyn TraceSink,
-    resume: Option<&NumericResume>,
-    hook: Option<&mut LevelHook<'_>>,
-    pivot: Option<&PivotCache>,
-    rule: PivotRule,
-) -> Result<NumericOutcome, NumericError> {
-    let mut engine = SparseEngine::new(force);
-    run_levels(
-        &mut engine,
-        gpu,
-        pattern,
-        levels,
-        trace,
-        resume,
-        hook,
-        pivot,
-        rule,
-    )
+    run_on_gpu(&mut SparseEngine::new(force), gpu, pattern, levels, &NOOP)
 }
 
 #[cfg(test)]

@@ -24,8 +24,9 @@
 //! * [`um`] — unified-memory GPU implementations with and without
 //!   prefetching (the baselines of Figures 5/6 and Table 3),
 //! * [`frontier`] — the frontier-size profiler behind Figure 3,
-//! * [`multi`] — a multi-GPU scale-out of the out-of-core engine (the
-//!   GSOFA-style distribution of the paper's related work).
+//! * [`multi`] — a multi-GPU scale-out of the out-of-core engine across a
+//!   device fleet (the GSOFA-style distribution of the paper's related
+//!   work).
 //!
 //! The result type [`SymbolicResult`] carries the filled pattern (with
 //! values: `A`'s entries in place, explicit zeros at fill positions — what
@@ -49,9 +50,7 @@ pub use dynamic::{
 };
 pub use expand::{expand_fill, ExpandOutcome};
 pub use fill2::{fill2_row, Fill2Workspace, RowMetrics};
-pub use multi::{
-    symbolic_fleet, symbolic_multi_gpu, FleetSymbolicOutcome, MultiGpuOutcome, Partition,
-};
+pub use multi::{symbolic_fleet, FleetSymbolicOutcome, Partition};
 pub use ooc::{symbolic_ooc, symbolic_ooc_run, symbolic_ooc_traced, OocOutcome};
 pub use result::SymbolicResult;
 pub use resume::{ChunkHook, ChunkProgress, SymbolicResume};

@@ -197,6 +197,79 @@ fn whole_fleet_fault_plans_broadcast_without_device_prefix() {
     );
 }
 
+#[test]
+fn fleet_inherits_the_single_device_format_ladder() {
+    // A one-shot launch fault on the dense kernel of every device: one
+    // device degrades Dense -> SparseMerge, and so must every fleet. The
+    // Dense rung retires all but one device (each fails its first dense
+    // launch); the last one's failure is the rung's error, and it stays
+    // alive to run the merge rung.
+    let a = random_dominant(200, 4.0, 7);
+    let opts = LuOptions {
+        format: NumericFormat::Dense,
+        ..LuOptions::default()
+    };
+    let spec = "badlaunch:numeric_dense=1";
+    let cfg = GpuConfig::v100_symbolic_profile(a.n_rows(), a.nnz());
+    let gpu = Gpu::with_fault_plan(
+        cfg.clone(),
+        CostModel::default(),
+        FaultPlan::parse(spec).expect("plan"),
+    );
+    let single = LuFactorization::compute(&gpu, &a, &opts).expect("one device degrades");
+    let degraded: Vec<String> = single
+        .report
+        .recovery
+        .events()
+        .iter()
+        .map(|e| e.action.to_string())
+        .collect();
+    assert_eq!(degraded.len(), 1, "single-device log: {degraded:?}");
+    assert!(matches!(
+        &single.report.recovery.events()[0].action,
+        RecoveryAction::FormatDegraded { from, to } if from == "Dense" && to == "SparseMerge"
+    ));
+
+    for devices in [1usize, 2, 4] {
+        let plans = FaultPlan::parse_fleet(spec, devices).expect("plans");
+        let fleet =
+            DeviceFleet::with_fault_plans(devices, cfg.clone(), CostModel::default(), &plans);
+        let f = LuFactorization::compute_fleet(&fleet, &a, &opts)
+            .unwrap_or_else(|e| panic!("{devices} devices must degrade like one: {e}"));
+        assert_bit_identical(&single, &f, &format!("{devices} devices"));
+        let fr = f.report.fleet.as_ref().expect("fleet report");
+        let lost: Vec<usize> = f
+            .report
+            .recovery
+            .events()
+            .iter()
+            .filter_map(|e| match e.action {
+                RecoveryAction::DeviceLost { device, .. } => Some(device),
+                _ => None,
+            })
+            .collect();
+        if devices == 1 {
+            assert_eq!(
+                f.report.recovery, single.report.recovery,
+                "same log as one GPU"
+            );
+            assert!(fr.dead.is_empty());
+        } else {
+            assert_eq!(fr.dead.len(), devices - 1, "all but the last device die");
+            assert_eq!(lost, fr.dead, "every loss is logged");
+            assert!(
+                fr.resharded_cols > 0,
+                "the lost columns moved to the survivor"
+            );
+            assert!(f.report.recovery.events().iter().any(|e| matches!(
+                &e.action,
+                RecoveryAction::FormatDegraded { from, to } if from == "Dense" && to == "SparseMerge"
+            )));
+        }
+        assert_eq!(fleet.n_alive(), devices - fr.dead.len());
+    }
+}
+
 /// Deterministic value drift on a fixed pattern.
 fn drift(base: &Csr, version: u64) -> Csr {
     let mut m = base.clone();
